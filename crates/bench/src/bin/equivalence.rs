@@ -1,9 +1,8 @@
 //! Kernel equivalence gate: every back-projection variant must agree
 //! with the serial `standard` kernel (Algorithm 2) on randomized
 //! geometries, the tiled driver must be bit-identical across thread
-//! counts, and the lane-array kernel must match its scalar oracle —
-//! bit-identical in strict mode, within the documented FMA tolerance
-//! otherwise.
+//! counts, and the lane-array kernel must be bit-identical to its
+//! scalar oracle.
 //!
 //! ```text
 //! cargo run --release -p ifdk-bench --bin equivalence -- \
@@ -15,13 +14,12 @@
 //! plus the tiled driver at 1/2/4 threads, and requires normalised RMSE
 //! against `standard` below 1e-5 plus exact equality of the tiled
 //! outputs across pool widths. The lane-array checks then run the
-//! strict lane kernel at 1/2/4 threads, tiled and untiled, requiring
-//! bitwise equality with the scalar warp kernel, and the FMA lane
-//! kernel requiring NRMSE below [`ct_bp::lanes::FMA_NRMSE_BOUND`]. The
-//! seed is printed so any failure replays with `--seed`. Exit codes
-//! follow `ifdk_bench::check`.
+//! lane kernel at 1/2/4 threads, tiled and untiled, requiring bitwise
+//! equality with the scalar warp kernel. The seed is printed so any
+//! failure replays with `--seed`. Exit codes follow
+//! `ifdk_bench::check`.
 
-use ct_bp::lanes::{backproject_batch, KernelImpl, LaneMode, FMA_NRMSE_BOUND};
+use ct_bp::lanes::{backproject_batch, KernelImpl};
 use ct_bp::tiled::{backproject_tiled_with, TileConfig};
 use ct_bp::warp::WARP_BATCH;
 use ct_bp::{backproject, backproject_standard, BpConfig, KernelVariant};
@@ -129,9 +127,8 @@ fn run(args: &[String]) -> Gate {
             }
         }
 
-        // Lane-array kernel vs its scalar oracle: strict mode must be
-        // bit-identical on every dispatch route and thread count; FMA
-        // mode must stay inside the documented tolerance.
+        // Lane-array kernel vs its scalar oracle: bit-identical on
+        // every dispatch route and thread count.
         let refs: Vec<&ct_core::projection::TransposedProjection> = transposed.iter().collect();
         let scalar = backproject_batch(
             &serial,
@@ -149,7 +146,7 @@ fn run(args: &[String]) -> Gate {
                 let pool = ct_par::Pool::new(threads);
                 let lanes = backproject_batch(
                     &pool,
-                    KernelImpl::Lanes(LaneMode::Strict),
+                    KernelImpl::Lanes,
                     &mats,
                     &refs,
                     nv,
@@ -159,34 +156,18 @@ fn run(args: &[String]) -> Gate {
                 );
                 if lanes.data() != scalar.data() {
                     failures.push(format!(
-                        "trial {trial}: strict lanes ({tag}, {threads} threads) \
+                        "trial {trial}: lanes ({tag}, {threads} threads) \
                          not bit-identical to scalar warp"
                     ));
                 }
             }
-        }
-        let fma = backproject_batch(
-            &serial,
-            KernelImpl::Lanes(LaneMode::Fma),
-            &mats,
-            &refs,
-            nv,
-            dims,
-            WARP_BATCH,
-            None,
-        );
-        let e = nrmse(scalar.data(), fma.data()).expect("same shape");
-        if e >= FMA_NRMSE_BOUND {
-            failures.push(format!(
-                "trial {trial}: lanes-fma vs scalar: nrmse {e:.3e} >= {FMA_NRMSE_BOUND:.0e}"
-            ));
         }
     }
 
     if failures.is_empty() {
         println!(
             "OK: all variants agree with standard (nrmse < {TOLERANCE:.0e}); \
-             strict lanes bit-identical to scalar; lanes-fma nrmse < {FMA_NRMSE_BOUND:.0e}"
+             lanes bit-identical to scalar"
         );
         Gate::Ok
     } else {

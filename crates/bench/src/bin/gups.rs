@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Back-projects a synthetic stack with every kernel (`standard`,
-//! `proposed`, `warp`, `lanes`, `lanes-fma`, `tiled`), every projection
+//! `proposed`, `warp`, `lanes`, `tiled`), every projection
 //! layout the kernel supports (`rowmajor`, `transposed`, `blocked`) and
 //! pool widths 1/2/4, reporting median and median-absolute-deviation
 //! GUPS over warmed-up repeats (Section 5.3.3's metric). `--json`
@@ -17,7 +17,7 @@
 //! (`perfscope` queries it); `--quick` shrinks the problem and the
 //! layout sweep for CI smoke runs.
 
-use ct_bp::lanes::{backproject_lanes_with, LaneMode, LaneSampler, LanesBlocking};
+use ct_bp::lanes::{backproject_lanes_with, LaneSampler, LanesBlocking};
 use ct_bp::tiled::{backproject_tiled_with, TileConfig};
 use ct_bp::warp::{backproject_warp_with, WARP_BATCH};
 use ct_bp::{backproject_proposed, backproject_standard};
@@ -130,30 +130,12 @@ fn main() {
                 TileConfig::AUTO,
             )
         };
-        let lane_strict: Vec<LaneSampler> = transposed
-            .iter()
-            .map(|q| LaneSampler::new(q, LaneMode::Strict))
-            .collect();
-        let lane_fma: Vec<LaneSampler> = transposed
-            .iter()
-            .map(|q| LaneSampler::new(q, LaneMode::Fma))
-            .collect();
+        let lane: Vec<LaneSampler> = transposed.iter().map(LaneSampler::new).collect();
         let lanes_t = |p: &Pool| {
             backproject_lanes_with(
                 p,
                 &mats,
-                &lane_strict,
-                nv,
-                dims,
-                WARP_BATCH,
-                LanesBlocking::default(),
-            )
-        };
-        let lanes_f = |p: &Pool| {
-            backproject_lanes_with(
-                p,
-                &mats,
-                &lane_fma,
+                &lane,
                 nv,
                 dims,
                 WARP_BATCH,
@@ -162,7 +144,6 @@ fn main() {
         };
         batched.push(("warp/transposed", &warp_t));
         batched.push(("lanes/transposed", &lanes_t));
-        batched.push(("lanes-fma/transposed", &lanes_f));
         batched.push(("tiled/transposed", &tiled_t));
         // The full sweep also covers the layouts the paper rejects
         // (Table 3's untransposed and texture-blocked accesses).

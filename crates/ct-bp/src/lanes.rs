@@ -12,25 +12,29 @@
 //! (arXiv:2104.13248, same first author as iFDK): per-column
 //! interpolation weights are resolved once per `(u, projection)` pair
 //! ([`ct_core::interp::AxisWeight`]), and the depth sweep is processed
-//! in [`LANE_WIDTH`]-wide chunks whose index, weight and blend loops
-//! all have constant trip counts over fixed arrays — the shape rustc
-//! reliably lowers to packed SSE/AVX, with FMA where the target allows.
+//! in [`LANE_WIDTH`]-wide chunks whose index, gather and blend loops
+//! all have constant trip counts over fixed arrays.
 //!
-//! **Bit-identity discipline.** In [`LaneMode::Strict`] (the default)
-//! every per-element value is produced by *exactly* the reference
-//! expressions: in-range lanes replace `v.floor()` with an integer
-//! truncation that provably equals it for `v >= 0` (plus a `+ 0.0`
-//! canonicalisation so `v = -0.0` yields the same `+0.0` fraction the
-//! reference computes), and the blend is the same
-//! `a*(1-d) + b*d` association. Scalar IEEE arithmetic in identical
-//! order gives identical bits, so the strict lane kernel is
+//! **What the shipped build makes of it** (default SSE2 release and
+//! `-C target-cpu=x86-64-v3` alike): packed predicate, fraction and
+//! blend, and one unconditional 8-byte load per lane and row. That
+//! rests on three things: the chunk body holds no mode dispatch; the
+//! gather index is clamped to `nv - 2` after both rows were checked to
+//! be `nv` long, so every `.get()` fallback is dead code (the
+//! predicate makes the clamp a no-op: same bits); and the depth ramp
+//! `(k0 + k) as f32` is precomputed per column batch ([`SweepBuffers`]).
+//! Check it in the **linked** binary (`objdump` recipe in the README):
+//! `cargo rustc -- --emit asm` shows ThinLTO pre-link code, unpacked.
+//!
+//! **Bit-identity discipline.** Every per-element value is produced by
+//! *exactly* the reference expressions: in-range lanes replace
+//! `v.floor()` with an integer truncation that provably equals it for
+//! `v >= 0` (plus a `+ 0.0` canonicalisation so `v = -0.0` yields the
+//! same `+0.0` fraction the reference computes), and the blend is the
+//! same `a*(1-d) + b*d` association. Scalar IEEE arithmetic in
+//! identical order gives identical bits, so the lane kernel is
 //! bit-identical to the warp kernel for any chunking, blocking, or
 //! thread count — the equivalence suite asserts exactly that.
-//! [`LaneMode::Fma`] instead contracts the blends with `f32::mul_add`,
-//! which changes the bits (documented NRMSE bound [`FMA_NRMSE_BOUND`])
-//! and is only faster on targets with hardware FMA
-//! (`-C target-cpu=native` on anything post-Haswell); without it each
-//! `mul_add` is a libm call, so Fma is opt-in.
 
 use crate::tiled::{
     backproject_pair_tiled_reporting, backproject_tiled_with, TileConfig, TileReport,
@@ -47,77 +51,58 @@ use ct_par::Pool;
 
 use crate::pair::{backproject_pair_with, SlabPair};
 
-/// Documented agreement bound between [`LaneMode::Fma`] and the strict
-/// kernels: normalised RMSE of a full volume stays below this. Fusing
-/// `a*b + c` removes one rounding per blend; across the ~`4*Np`
-/// roundings a voxel accumulates, the drift stays orders of magnitude
-/// under this bound in practice — the bound is deliberately loose so it
-/// gates correctness, not luck.
-pub const FMA_NRMSE_BOUND: f64 = 1e-6;
-
-/// Arithmetic mode of the lane kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LaneMode {
-    /// Reference expressions, reference association: bit-identical to
-    /// the scalar warp kernel.
-    #[default]
-    Strict,
-    /// Blends contracted with `f32::mul_add`. Different bits (see
-    /// [`FMA_NRMSE_BOUND`]); only profitable with hardware FMA.
-    Fma,
-}
-
 /// Which back-projection implementation the drivers dispatch to — the
 /// kernel-generation selector layered on top of the Table 3
 /// [`crate::KernelVariant`] axis (which picks *data layout*, not
 /// implementation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelImpl {
     /// The original per-element kernels (`ct_bp::warp`), kept as the
     /// oracle the lane kernel is verified against.
     Scalar,
-    /// The lane-array kernel of this module.
-    Lanes(LaneMode),
-}
-
-impl Default for KernelImpl {
-    /// `Lanes(Strict)`: bit-identical to [`KernelImpl::Scalar`] and
-    /// faster, so it is safe to prefer unconditionally.
-    fn default() -> Self {
-        KernelImpl::Lanes(LaneMode::Strict)
-    }
+    /// The lane-array kernel of this module: bit-identical to
+    /// [`KernelImpl::Scalar`] and faster, so it is the default.
+    #[default]
+    Lanes,
 }
 
 impl KernelImpl {
-    /// Resolve from the `IFDK_KERNEL` environment variable: `scalar`,
-    /// `lanes` (strict) or `lanes-fma`. Unset or unrecognised values
-    /// fall back to the default ([`KernelImpl::Lanes`] strict — safe
-    /// because it is bit-identical to scalar).
+    /// Parse an `IFDK_KERNEL` value: exactly `scalar` or `lanes`.
+    pub fn parse(name: &str) -> Option<Self> {
+        [KernelImpl::Scalar, KernelImpl::Lanes]
+            .into_iter()
+            .find(|kernel| kernel.name() == name)
+    }
+
+    /// Resolve from the `IFDK_KERNEL` environment variable; unset or
+    /// unrecognised values give the default.
     pub fn from_env() -> Self {
-        match std::env::var("IFDK_KERNEL").as_deref() {
-            Ok("scalar") => KernelImpl::Scalar,
-            Ok("lanes") => KernelImpl::Lanes(LaneMode::Strict),
-            Ok("lanes-fma") => KernelImpl::Lanes(LaneMode::Fma),
-            _ => KernelImpl::default(),
-        }
+        std::env::var("IFDK_KERNEL")
+            .ok()
+            .and_then(|name| Self::parse(&name))
+            .unwrap_or_default()
     }
 
     /// Stable name for reports and bench cell keys.
     pub fn name(&self) -> &'static str {
         match self {
             KernelImpl::Scalar => "scalar",
-            KernelImpl::Lanes(LaneMode::Strict) => "lanes",
-            KernelImpl::Lanes(LaneMode::Fma) => "lanes-fma",
+            KernelImpl::Lanes => "lanes",
         }
     }
 }
 
+/// Blend one element exactly as the reference does.
+#[inline]
+fn blend(a0: f32, a1: f32, b0: f32, b1: f32, d: f32, du: f32, w: f32) -> f32 {
+    let t1 = a0 * (1.0 - d) + a1 * d;
+    let t2 = b0 * (1.0 - d) + b1 * d;
+    w * (t1 * (1.0 - du) + t2 * du)
+}
+
 /// Per-column state of the `u` axis, resolved once per
-/// `(u, projection)` pair instead of once per voxel: the
-/// [`AxisWeight`] plus the two transposed detector rows it selects.
-///
-/// `None` when either `u` sample falls outside the detector — those
-/// columns take the reference zero-border path.
+/// `(u, projection)` pair instead of once per voxel: the `u` fraction
+/// plus the two transposed detector rows it blends.
 struct UColumn<'a> {
     row0: &'a [f32],
     row1: &'a [f32],
@@ -126,8 +111,10 @@ struct UColumn<'a> {
 
 impl<'a> UColumn<'a> {
     /// Resolve the column weights against a transposed projection.
+    /// `None` when either `u` sample falls outside the detector — those
+    /// columns take the reference zero-border path.
     #[inline]
-    fn resolve(proj: &'a TransposedProjection, u: f32) -> Option<(Self, AxisWeight)> {
+    fn resolve(proj: &'a TransposedProjection, u: f32) -> Option<Self> {
         let dims = proj.dims();
         let (nu, nv) = (dims.nu, dims.nv);
         let uw = AxisWeight::resolve(u);
@@ -137,66 +124,18 @@ impl<'a> UColumn<'a> {
         let iu = usize::try_from(uw.i).ok()?;
         let rows = proj.data().get(iu * nv..(iu + 2) * nv)?;
         let (row0, row1) = rows.split_at(nv);
-        Some((
-            Self {
-                row0,
-                row1,
-                du: uw.frac,
-            },
-            uw,
-        ))
-    }
-}
-
-/// A [`Sampler`] running the lane-array sweep over a transposed
-/// projection. Borrowing wrapper, so the existing generic drivers
-/// (warp, pair, tiled) take the lane path with no signature changes.
-#[derive(Debug, Clone, Copy)]
-pub struct LaneSampler<'a> {
-    proj: &'a TransposedProjection,
-    mode: LaneMode,
-}
-
-impl<'a> LaneSampler<'a> {
-    /// Wrap one projection.
-    #[inline]
-    pub fn new(proj: &'a TransposedProjection, mode: LaneMode) -> Self {
-        Self { proj, mode }
-    }
-
-    /// Wrap a whole batch of projections.
-    pub fn wrap(projs: &'a [&TransposedProjection], mode: LaneMode) -> Vec<LaneSampler<'a>> {
-        // analyze: allow(alloc, reason = "batch setup: one sampler table per projection batch, built before the per-column sweep starts")
-        let mut out = Vec::with_capacity(projs.len());
-        // analyze: allow(alloc, reason = "bounded: capacity reserved above at projs.len(); extend fills exactly that many slots")
-        out.extend(projs.iter().map(|p| Self::new(p, mode)));
-        out
-    }
-
-    /// Blend one element exactly as the reference does (strict) or with
-    /// fused multiply-adds (fma).
-    #[allow(clippy::too_many_arguments)] // the flat bilinear dataflow
-    #[inline]
-    fn blend(&self, a0: f32, a1: f32, b0: f32, b1: f32, d: f32, du: f32, w: f32) -> f32 {
-        match self.mode {
-            LaneMode::Strict => {
-                let t1 = a0 * (1.0 - d) + a1 * d;
-                let t2 = b0 * (1.0 - d) + b1 * d;
-                w * (t1 * (1.0 - du) + t2 * du)
-            }
-            LaneMode::Fma => {
-                let t1 = a1.mul_add(d, a0 * (1.0 - d));
-                let t2 = b1.mul_add(d, b0 * (1.0 - d));
-                w * t2.mul_add(du, t1 * (1.0 - du))
-            }
-        }
+        Some(Self {
+            row0,
+            row1,
+            du: uw.frac,
+        })
     }
 
     /// Reference per-element v handling for lanes the fast predicate
     /// rejects: the exact expressions of the warp fast path's border
     /// branch (floor-based index, zero-border fetch).
     #[inline]
-    fn border_element(&self, col: &UColumn<'_>, v: f32, w: f32, o: &mut f32) {
+    fn border_element(&self, v: f32, w: f32, o: &mut f32) {
         let vw = AxisWeight::resolve(v);
         let s = |r: &[f32], x: isize| {
             usize::try_from(x)
@@ -205,37 +144,46 @@ impl<'a> LaneSampler<'a> {
                 .copied()
                 .unwrap_or(0.0)
         };
-        let (a0, a1) = (s(col.row0, vw.i), s(col.row0, vw.i + 1));
-        let (b0, b1) = (s(col.row1, vw.i), s(col.row1, vw.i + 1));
-        *o += self.blend(a0, a1, b0, b1, vw.frac, col.du, w);
+        // +inf floors to isize::MAX: border, not overflow.
+        let i1 = vw.i.saturating_add(1);
+        let (a0, a1) = (s(self.row0, vw.i), s(self.row0, i1));
+        let (b0, b1) = (s(self.row1, vw.i), s(self.row1, i1));
+        *o += blend(a0, a1, b0, b1, vw.frac, self.du, w);
     }
-}
 
-impl Sampler for LaneSampler<'_> {
+    /// The last gather base `nv - 2` when both rows are `nv >= 2` long:
+    /// checked once per sweep, it lets the compiler see every clamped
+    /// gather in bounds. `None` for a one-row detector or unequal rows.
     #[inline]
-    fn sample(&self, u: f32, v: f32) -> f32 {
-        self.proj.sample(u, v)
+    fn last_base(&self) -> Option<usize> {
+        let last = self.row0.len().checked_sub(2)?;
+        (self.row1.len() == self.row0.len()).then_some(last)
     }
 
-    /// The lane-array sweep: `u` weights once per column, then the
-    /// depth loop in [`LANE_WIDTH`]-wide chunks of fixed-size array
-    /// arithmetic. Strict mode is bit-identical to the warp fast path
-    /// (which is itself bit-identical to `interp2`).
-    fn accumulate_column(&self, u: f32, vs: &[f32], w: f32, out: &mut [f32]) {
-        let Some((col, _)) = UColumn::resolve(self.proj, u) else {
-            // u border: both axes need the zero-border blend — the
-            // reference path, as in the warp kernel.
+    /// The depth sweep down this column: `out[k] += w * sample(u, vs[k])`
+    /// in [`LANE_WIDTH`]-wide chunks of fixed-size array arithmetic.
+    fn sweep(&self, vs: &[f32], w: f32, out: &mut [f32]) {
+        let (row0, row1) = (self.row0, self.row1);
+        let Some(last) = self.last_base() else {
+            // No fast lane exists: the whole column is border.
             for (o, &v) in out.iter_mut().zip(vs) {
-                *o += w * self.sample(u, v);
+                self.border_element(v, w, o);
             }
             return;
         };
-        let nv = col.row0.len();
         // In-range predicate: `0 <= v < nv-1` makes `trunc(v)` equal
-        // `floor(v)` and keeps both v samples inside the row. `-0.0`
-        // passes (trunc also gives 0 there); its fraction sign is fixed
-        // by the `+ 0.0` below, matching `v - floor(v)` bit for bit.
-        let vhi = if nv >= 2 { (nv - 1) as f32 } else { 0.0 };
+        // `floor(v)` and keeps both v samples inside the row; NaN fails
+        // it. `-0.0` passes (trunc also gives 0 there); its fraction
+        // sign is fixed by the `+ 0.0` below, as in `v - floor(v)`.
+        let vhi = (last + 1) as f32;
+        // Index + fraction of an in-range v: trunc, not floor. The
+        // predicate already gives `i <= nv-2`; the clamp only makes that
+        // provable, and the fallback of the checked fetch dead code.
+        let split = |v: f32| {
+            let t = v as i32;
+            ((t as usize).min(last), (v - t as f32) + 0.0)
+        };
+        let fetch = |r: &[f32], i: usize| r.get(i).copied().unwrap_or(0.0);
 
         let mut chunks_v = vs.chunks_exact(LANE_WIDTH);
         let mut chunks_o = out.chunks_exact_mut(LANE_WIDTH);
@@ -246,21 +194,15 @@ impl Sampler for LaneSampler<'_> {
             }
             if !in_range {
                 for (o, &v) in oc.iter_mut().zip(vc) {
-                    self.border_element(&col, v, w, o);
+                    self.border_element(v, w, o);
                 }
                 continue;
             }
-            // Index + fraction lanes: trunc (cvttps2dq) instead of
-            // floor, exact for the in-range predicate above.
             let mut iv = [0usize; LANE_WIDTH];
             let mut d = [0.0f32; LANE_WIDTH];
             for ((i, dl), &v) in iv.iter_mut().zip(d.iter_mut()).zip(vc) {
-                let t = v as i32;
-                *i = t as usize;
-                *dl = (v - t as f32) + 0.0;
+                (*i, *dl) = split(v);
             }
-            // Gather lanes: the predicate guarantees `iv + 1 <= nv-1`,
-            // so the fallback value of the checked fetch is never used.
             let mut a0 = [0.0f32; LANE_WIDTH];
             let mut a1 = [0.0f32; LANE_WIDTH];
             let mut b0 = [0.0f32; LANE_WIDTH];
@@ -272,10 +214,10 @@ impl Sampler for LaneSampler<'_> {
                 .zip(b1.iter_mut())
                 .zip(&iv)
             {
-                *pa0 = col.row0.get(i).copied().unwrap_or(0.0);
-                *pa1 = col.row0.get(i + 1).copied().unwrap_or(0.0);
-                *pb0 = col.row1.get(i).copied().unwrap_or(0.0);
-                *pb1 = col.row1.get(i + 1).copied().unwrap_or(0.0);
+                *pa0 = fetch(row0, i);
+                *pa1 = fetch(row0, i + 1);
+                *pb0 = fetch(row1, i);
+                *pb1 = fetch(row1, i + 1);
             }
             // Blend lanes: constant trip count over fixed arrays.
             for (o, ((((&la0, &la1), &lb0), &lb1), &ld)) in oc.iter_mut().zip(
@@ -285,7 +227,7 @@ impl Sampler for LaneSampler<'_> {
                     .zip(b1.iter())
                     .zip(d.iter()),
             ) {
-                *o += self.blend(la0, la1, lb0, lb1, ld, col.du, w);
+                *o += blend(la0, la1, lb0, lb1, ld, self.du, w);
             }
         }
         // Tail: same expressions, scalar.
@@ -295,16 +237,59 @@ impl Sampler for LaneSampler<'_> {
             .zip(chunks_v.remainder())
         {
             if (0.0..vhi).contains(&v) {
-                let t = v as i32;
-                let i = t as usize;
-                let d = (v - t as f32) + 0.0;
-                let a0 = col.row0.get(i).copied().unwrap_or(0.0);
-                let a1 = col.row0.get(i + 1).copied().unwrap_or(0.0);
-                let b0 = col.row1.get(i).copied().unwrap_or(0.0);
-                let b1 = col.row1.get(i + 1).copied().unwrap_or(0.0);
-                *o += self.blend(a0, a1, b0, b1, d, col.du, w);
+                let (i, d) = split(v);
+                let (a0, a1) = (fetch(row0, i), fetch(row0, i + 1));
+                let (b0, b1) = (fetch(row1, i), fetch(row1, i + 1));
+                *o += blend(a0, a1, b0, b1, d, self.du, w);
             } else {
-                self.border_element(&col, v, w, o);
+                self.border_element(v, w, o);
+            }
+        }
+    }
+}
+
+/// A [`Sampler`] running the lane-array sweep over a transposed
+/// projection. Borrowing wrapper, so the existing generic drivers
+/// (warp, pair, tiled) take the lane path with no signature changes.
+#[derive(Debug, Clone, Copy)]
+pub struct LaneSampler<'a> {
+    proj: &'a TransposedProjection,
+}
+
+impl<'a> LaneSampler<'a> {
+    /// Wrap one projection.
+    #[inline]
+    pub fn new(proj: &'a TransposedProjection) -> Self {
+        Self { proj }
+    }
+
+    /// Wrap a whole batch of projections.
+    pub fn wrap(projs: &'a [&TransposedProjection]) -> Vec<LaneSampler<'a>> {
+        // analyze: allow(alloc, reason = "batch setup: one sampler table per projection batch, built before the per-column sweep starts")
+        let mut out = Vec::with_capacity(projs.len());
+        // analyze: allow(alloc, reason = "bounded: capacity reserved above at projs.len(); extend fills exactly that many slots")
+        out.extend(projs.iter().map(|p| Self::new(p)));
+        out
+    }
+}
+
+impl Sampler for LaneSampler<'_> {
+    #[inline]
+    fn sample(&self, u: f32, v: f32) -> f32 {
+        self.proj.sample(u, v)
+    }
+
+    /// `u` weights once per column, then the chunked depth sweep.
+    /// Bit-identical to the warp fast path (and so to `interp2`).
+    fn accumulate_column(&self, u: f32, vs: &[f32], w: f32, out: &mut [f32]) {
+        match UColumn::resolve(self.proj, u) {
+            Some(col) => col.sweep(vs, w, out),
+            // u border: both axes need the zero-border blend — the
+            // reference path, as in the warp kernel.
+            None => {
+                for (o, &v) in out.iter_mut().zip(vs) {
+                    *o += w * self.sample(u, v);
+                }
             }
         }
     }
@@ -433,8 +418,7 @@ pub fn backproject_lanes_with(
 /// pipelines call. `tile: Some` routes through the tiled driver (which
 /// both kernels share — the lane path rides in through the sampler);
 /// `tile: None` runs the untiled driver (warp for scalar, the blocked
-/// lanes driver otherwise). All four routes are bit-identical in
-/// strict/scalar modes.
+/// lanes driver otherwise). All four routes are bit-identical.
 #[allow(clippy::too_many_arguments)] // mirrors backproject_tiled_with + kernel
 pub fn backproject_batch(
     pool: &Pool,
@@ -451,12 +435,12 @@ pub fn backproject_batch(
             backproject_tiled_with(pool, mats, projs, nv, dims, batch, t)
         }
         (KernelImpl::Scalar, None) => backproject_warp_with(pool, mats, projs, nv, dims, batch),
-        (KernelImpl::Lanes(mode), Some(t)) => {
-            let samplers = LaneSampler::wrap(projs, mode);
+        (KernelImpl::Lanes, Some(t)) => {
+            let samplers = LaneSampler::wrap(projs);
             backproject_tiled_with(pool, mats, &samplers, nv, dims, batch, t)
         }
-        (KernelImpl::Lanes(mode), None) => {
-            let samplers = LaneSampler::wrap(projs, mode);
+        (KernelImpl::Lanes, None) => {
+            let samplers = LaneSampler::wrap(projs);
             backproject_lanes_with(
                 pool,
                 mats,
@@ -494,12 +478,12 @@ pub fn backproject_pair_batch_reporting(
             backproject_pair_with(pool, mats, projs, nv, dims, pair, batch),
             Vec::new(),
         ),
-        (KernelImpl::Lanes(mode), Some(t)) => {
-            let samplers = LaneSampler::wrap(projs, mode);
+        (KernelImpl::Lanes, Some(t)) => {
+            let samplers = LaneSampler::wrap(projs);
             backproject_pair_tiled_reporting(pool, mats, &samplers, nv, dims, pair, batch, t)
         }
-        (KernelImpl::Lanes(mode), None) => {
-            let samplers = LaneSampler::wrap(projs, mode);
+        (KernelImpl::Lanes, None) => {
+            let samplers = LaneSampler::wrap(projs);
             (
                 backproject_pair_with(pool, mats, &samplers, nv, dims, pair, batch),
                 Vec::new(),
@@ -513,31 +497,51 @@ mod tests {
     use super::*;
     use crate::warp::backproject_warp;
     use ct_core::geometry::CbctGeometry;
-    use ct_core::metrics::nrmse;
     use ct_core::problem::Dims2;
     use ct_core::projection::{ProjectionImage, ProjectionStack};
+
+    fn image(dims: Dims2, s: usize) -> ProjectionImage {
+        let mut img = ProjectionImage::zeros(dims);
+        for v in 0..dims.nv {
+            for u in 0..dims.nu {
+                img.set(u, v, (((u * 7 + v * 5 + s * 3) % 29) as f32) * 0.5 - 7.0);
+            }
+        }
+        img
+    }
 
     fn setup(np: usize, n: usize) -> (CbctGeometry, Vec<ProjectionMatrix>, ProjectionStack) {
         let geo = CbctGeometry::standard(Dims2::new(2 * n, 2 * n), np, Dims3::cube(n));
         let mats = geo.projection_matrices();
         let mut stack = ProjectionStack::new(geo.detector);
         for s in 0..np {
-            let mut img = ProjectionImage::zeros(geo.detector);
-            for v in 0..geo.detector.nv {
-                for u in 0..geo.detector.nu {
-                    img.set(u, v, (((u * 7 + v * 5 + s * 3) % 29) as f32) * 0.5 - 7.0);
-                }
-            }
-            stack.push(img).unwrap();
+            stack.push(image(geo.detector, s)).unwrap();
         }
         (geo, mats, stack)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One lane sweep and one scalar-oracle sweep over the same `vs`,
+    /// each into fresh zeroed output, compared bit for bit.
+    fn assert_column_matches_oracle(q: &TransposedProjection, u: f32, vs: &[f32], what: &str) {
+        let mut fast = vec![0.0f32; vs.len()];
+        let mut reference = vec![0.0f32; vs.len()];
+        LaneSampler::new(q).accumulate_column(u, vs, 0.37, &mut fast);
+        q.accumulate_column(u, vs, 0.37, &mut reference);
+        assert_eq!(
+            bits(&fast),
+            bits(&reference),
+            "{what}: u = {u}, vs = {vs:?}"
+        );
     }
 
     #[test]
     fn strict_lane_column_is_bit_identical_to_warp_fast_path() {
         let (geo, _, stack) = setup(1, 8);
         let q = stack.iter().next().unwrap().transposed();
-        let lane = LaneSampler::new(&q, LaneMode::Strict);
         let nv = geo.detector.nv as f32;
         // u positions across interior and borders; v series crossing in
         // and out of range, lengths exercising chunk tails.
@@ -545,18 +549,84 @@ mod tests {
             for (v0, dv) in [(-2.0f32, 0.7f32), (0.1, 1.3), (14.0, -0.9), (-0.0, 0.0)] {
                 for len in [1usize, 7, 8, 9, 16, 23] {
                     let vs: Vec<f32> = (0..len).map(|k| v0 + k as f32 * dv).collect();
-                    let mut fast = vec![0.0f32; len];
-                    let mut reference = vec![0.0f32; len];
-                    lane.accumulate_column(ui, &vs, 0.37, &mut fast);
-                    q.accumulate_column(ui, &vs, 0.37, &mut reference);
-                    assert_eq!(
-                        fast.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        reference.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "u = {ui}, v0 = {v0}, dv = {dv}, len = {len}"
-                    );
+                    assert_column_matches_oracle(&q, ui, &vs, "ramp");
                 }
             }
         }
+    }
+
+    #[test]
+    fn hostile_lanes_are_bit_identical_to_the_scalar_oracle() {
+        let (geo, _, stack) = setup(1, 8);
+        let q = stack.iter().next().unwrap().transposed();
+        let edge = (geo.detector.nv - 1) as f32;
+        let below_edge = f32::from_bits(edge.to_bits() - 1);
+        let hostile = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            edge,
+            below_edge,
+            -f32::MIN_POSITIVE,
+            i32::MAX as f32,
+            1e30,
+        ];
+        for len in [7usize, 8, 9, 23] {
+            // Every hostile value in every lane position of an
+            // otherwise in-range column, then all of them at once.
+            let clean: Vec<f32> = (0..len).map(|k| 0.25 + k as f32 * 0.6).collect();
+            for &h in &hostile {
+                for at in 0..len {
+                    let mut vs = clean.clone();
+                    vs[at] = h;
+                    assert_column_matches_oracle(&q, 3.3, &vs, "one hostile lane");
+                }
+            }
+            let vs: Vec<f32> = (0..len).map(|k| hostile[k % hostile.len()]).collect();
+            assert_column_matches_oracle(&q, 3.3, &vs, "all hostile");
+        }
+    }
+
+    #[test]
+    fn short_detectors_take_the_reference_path_for_the_whole_column() {
+        // nv = 1 has no interior v sample at all and nv = 2 exactly one
+        // cell: whichever side of the once-per-sweep guard they land
+        // on, every element must still be accumulated.
+        for nv in [1usize, 2] {
+            let q = image(Dims2::new(6, nv), 1).transposed();
+            for len in [1usize, 8, 9, 23] {
+                let vs: Vec<f32> = (0..len).map(|k| -0.75 + k as f32 * 0.25).collect();
+                for u in [-0.5f32, 0.0, 2.4, 4.999, 5.0] {
+                    assert_column_matches_oracle(&q, u, &vs, "short detector");
+                }
+                let mut out = vec![0.0f32; len];
+                LaneSampler::new(&q).accumulate_column(2.4, &vs, 1.0, &mut out);
+                assert!(out.iter().any(|&x| x != 0.0), "nv = {nv}: column dropped");
+            }
+        }
+    }
+
+    #[test]
+    fn disagreeing_rows_fall_back_without_dropping_work() {
+        // `UColumn::resolve` cannot produce this; the sweep's guard must
+        // still answer it with the reference path, not an early return.
+        let (row0, row1) = ([1.0f32, 2.0, 3.0, 4.0], [5.0f32, 6.0, 7.0]);
+        let col = UColumn {
+            row0: &row0,
+            row1: &row1,
+            du: 0.25,
+        };
+        assert!(col.last_base().is_none());
+        let vs: Vec<f32> = (0..11).map(|k| -0.5 + k as f32 * 0.4).collect();
+        let mut swept = vec![0.0f32; vs.len()];
+        col.sweep(&vs, 0.37, &mut swept);
+        let mut reference = vec![0.0f32; vs.len()];
+        for (o, &v) in reference.iter_mut().zip(&vs) {
+            col.border_element(v, 0.37, o);
+        }
+        assert_eq!(bits(&swept), bits(&reference));
+        assert!(swept.iter().all(|&x| x != 0.0));
     }
 
     #[test]
@@ -565,20 +635,46 @@ mod tests {
         let reference = backproject_warp(&Pool::serial(), &mats, &stack, geo.volume);
         let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
         let refs: Vec<&TransposedProjection> = transposed.iter().collect();
+        let nv = stack.dims().nv;
+        // A slab pair that starts away from k = 0: its depth ramp is
+        // offset, and its slices must still be the full volume's.
+        let pair = SlabPair::new(geo.volume.nz, 3, 4).unwrap();
         for tile in [None, Some(TileConfig::AUTO)] {
             for threads in [1usize, 3] {
                 let pool = Pool::new(threads);
                 let v = backproject_batch(
                     &pool,
-                    KernelImpl::Lanes(LaneMode::Strict),
+                    KernelImpl::Lanes,
                     &mats,
                     &refs,
-                    stack.dims().nv,
+                    nv,
                     geo.volume,
                     WARP_BATCH,
                     tile,
                 );
                 assert_eq!(v.data(), reference.data(), "tile {tile:?} x{threads}");
+                let (slab, _) = backproject_pair_batch_reporting(
+                    &pool,
+                    KernelImpl::Lanes,
+                    &mats,
+                    &refs,
+                    nv,
+                    geo.volume,
+                    pair,
+                    WARP_BATCH,
+                    tile,
+                );
+                for i in 0..geo.volume.nx {
+                    for j in 0..geo.volume.ny {
+                        for local in 0..pair.local_nz() {
+                            assert_eq!(
+                                slab.get(i, j, local).to_bits(),
+                                reference.get(i, j, pair.global_k(local)).to_bits(),
+                                "tile {tile:?} x{threads}: ({i}, {j}, local {local})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -588,7 +684,7 @@ mod tests {
         let (geo, mats, stack) = setup(40, 16);
         let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
         let refs: Vec<&TransposedProjection> = transposed.iter().collect();
-        let samplers = LaneSampler::wrap(&refs, LaneMode::Strict);
+        let samplers = LaneSampler::wrap(&refs);
         let nv = stack.dims().nv;
         let unblocked = backproject_lanes_with(
             &Pool::serial(),
@@ -627,40 +723,20 @@ mod tests {
     }
 
     #[test]
-    fn fma_mode_stays_within_documented_bound() {
-        let (geo, mats, stack) = setup(24, 16);
-        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-        let refs: Vec<&TransposedProjection> = transposed.iter().collect();
-        let strict = backproject_batch(
-            &Pool::serial(),
-            KernelImpl::Lanes(LaneMode::Strict),
-            &mats,
-            &refs,
-            stack.dims().nv,
-            geo.volume,
-            WARP_BATCH,
-            None,
-        );
-        let fma = backproject_batch(
-            &Pool::serial(),
-            KernelImpl::Lanes(LaneMode::Fma),
-            &mats,
-            &refs,
-            stack.dims().nv,
-            geo.volume,
-            WARP_BATCH,
-            None,
-        );
-        let e = nrmse(strict.data(), fma.data()).unwrap();
-        assert!(e < FMA_NRMSE_BOUND, "nrmse {e}");
+    fn kernel_impl_names_and_default() {
+        assert_eq!(KernelImpl::default(), KernelImpl::Lanes);
+        assert_eq!(KernelImpl::Scalar.name(), "scalar");
+        assert_eq!(KernelImpl::Lanes.name(), "lanes");
     }
 
     #[test]
-    fn kernel_impl_names_and_default() {
-        assert_eq!(KernelImpl::default(), KernelImpl::Lanes(LaneMode::Strict));
-        assert_eq!(KernelImpl::Scalar.name(), "scalar");
-        assert_eq!(KernelImpl::Lanes(LaneMode::Strict).name(), "lanes");
-        assert_eq!(KernelImpl::Lanes(LaneMode::Fma).name(), "lanes-fma");
+    fn kernel_impl_parses_exactly_its_two_names() {
+        for kernel in [KernelImpl::Scalar, KernelImpl::Lanes] {
+            assert_eq!(KernelImpl::parse(kernel.name()), Some(kernel));
+        }
+        for rejected in ["lanes-fma", "", "Lanes", "scalar ", "warp"] {
+            assert_eq!(KernelImpl::parse(rejected), None, "{rejected:?}");
+        }
     }
 
     #[test]
@@ -684,7 +760,7 @@ mod tests {
             );
             let (lanes, _) = backproject_pair_batch_reporting(
                 &Pool::new(2),
-                KernelImpl::Lanes(LaneMode::Strict),
+                KernelImpl::Lanes,
                 &mats,
                 &refs,
                 nv,

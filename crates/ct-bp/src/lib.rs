@@ -33,10 +33,10 @@
 //!   thread count.
 //! * [`lanes`] — the lane-array generation of the hot column sweep:
 //!   per-column bilinear weights resolved once per `(u, projection)`,
-//!   depth loop in fixed `[f32; 8]` chunks the autovectorizer lowers to
-//!   packed FMA, projection-batch blocking sized to L1/L2. Selected via
-//!   [`lanes::KernelImpl`] (`IFDK_KERNEL` env var); bit-identical to
-//!   [`warp`] in the default strict mode.
+//!   depth loop in fixed `[f32; 8]` chunks of packed arithmetic and
+//!   branch-free gathers, projection-batch blocking sized to L1/L2.
+//!   Selected via [`lanes::KernelImpl`] (`IFDK_KERNEL` env var);
+//!   bit-identical to [`warp`].
 //!
 //! All kernels compute detector coordinates in `f32` (as the GPU does) and
 //! produce identical results regardless of thread count: threads own
@@ -72,7 +72,7 @@ pub mod tiled;
 pub mod variant;
 pub mod warp;
 
-pub use lanes::{KernelImpl, LaneMode, LaneSampler};
+pub use lanes::{KernelImpl, LaneSampler};
 pub use pair::{backproject_pair, SlabPair};
 pub use proposed::backproject_proposed;
 pub use standard::{backproject_standard, backproject_standard_slab};

@@ -100,7 +100,7 @@ pub struct BpConfig {
     /// Which column-sweep implementation runs the hot loop (scalar
     /// oracle vs lane-array; see [`crate::lanes`]). Only `L1-Tran`
     /// dispatches on this — the other Table 3 variants are layout
-    /// ablations and always run the scalar kernel. Strict lanes is
+    /// ablations and always run the scalar kernel. Lanes is
     /// bit-identical to scalar, so the default is safe everywhere.
     pub kernel: KernelImpl,
 }
@@ -323,13 +323,12 @@ mod tests {
         assert_eq!(cfg.batch, 32);
         assert_eq!(cfg.tile, Some(TileConfig::AUTO));
         // Default kernel comes from IFDK_KERNEL; with the variable unset
-        // (the test environment) that is the strict lane kernel.
+        // (the test environment) that is the lane kernel.
         assert_eq!(cfg.kernel, KernelImpl::from_env());
     }
 
     #[test]
     fn kernel_impls_are_bit_identical_through_dispatch() {
-        use crate::lanes::LaneMode;
         let (geo, mats, stack) = setup(12, 8);
         let scalar = backproject(
             &Pool::serial(),
@@ -344,7 +343,7 @@ mod tests {
         let lanes = backproject(
             &Pool::new(2),
             BpConfig {
-                kernel: KernelImpl::Lanes(LaneMode::Strict),
+                kernel: KernelImpl::Lanes,
                 ..Default::default()
             },
             &mats,

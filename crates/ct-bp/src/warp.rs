@@ -121,7 +121,9 @@ impl Sampler for TransposedProjection {
                             .copied()
                             .unwrap_or(0.0)
                     };
-                    (s(row0, iv), s(row0, iv + 1), s(row1, iv), s(row1, iv + 1))
+                    // +inf floors to isize::MAX: border, not overflow.
+                    let iv1 = iv.saturating_add(1);
+                    (s(row0, iv), s(row0, iv1), s(row1, iv), s(row1, iv1))
                 }
             };
             let t1 = a0 * (1.0 - d) + a1 * d;
@@ -132,8 +134,9 @@ impl Sampler for TransposedProjection {
 }
 
 /// Reusable per-column sweep state for [`ColumnBatch::accumulate_into`]:
-/// the voxel accumulators (`up`, `down`) plus the per-lane detector-row
-/// scratch, allocated once per worker instead of once per column.
+/// the voxel accumulators (`up`, `down`), the per-lane detector-row
+/// scratch and the depth ramp, allocated once per worker instead of
+/// once per column.
 #[derive(Debug, Clone)]
 pub struct SweepBuffers {
     /// Accumulated batch contribution of the upper-slab voxels.
@@ -142,6 +145,9 @@ pub struct SweepBuffers {
     pub down: Vec<f32>,
     vs: Vec<f32>,
     vs_m: Vec<f32>,
+    /// `(k0 + k) as f32`, rewritten by every `accumulate_into` call and
+    /// shared by the projections of its batch.
+    kf: Vec<f32>,
 }
 
 impl SweepBuffers {
@@ -152,6 +158,7 @@ impl SweepBuffers {
             down: Self::column(len),
             vs: Self::column(len),
             vs_m: Self::column(len),
+            kf: Self::column(len),
         }
     }
 
@@ -308,14 +315,19 @@ impl ColumnBatch {
         buf: &mut SweepBuffers,
     ) {
         debug_assert_eq!(samplers.len(), self.width, "one sampler per lane");
+        // The integer-to-float depth conversion, once per column batch
+        // instead of once per projection: the loop below is then a pure
+        // f32 stream.
+        for (k, kf) in buf.kf.iter_mut().enumerate() {
+            *kf = (k0 + k) as f32;
+        }
         let lanes = samplers
             .iter()
             .zip(self.f.iter().zip(&self.w).zip(&self.u))
             .zip(self.y0.iter().zip(&self.yk));
         for ((q, ((&f, &w), &u)), (&y0, &yk)) in lanes {
-            let rows = buf.vs.iter_mut().zip(buf.vs_m.iter_mut()).enumerate();
-            for (k, (vs, vs_m)) in rows {
-                let kf = (k0 + k) as f32;
+            let rows = buf.vs.iter_mut().zip(buf.vs_m.iter_mut()).zip(&buf.kf);
+            for ((vs, vs_m), &kf) in rows {
                 let vl = (y0 + yk * kf) * f;
                 *vs = vl;
                 *vs_m = vmax - vl;
@@ -522,6 +534,27 @@ mod tests {
                 (sum_m - buf.down[k]).abs() < 1e-4 * sum_m.abs().max(1.0),
                 "mirror k {k}"
             );
+        }
+    }
+
+    #[test]
+    fn reused_sweep_buffers_never_carry_a_stale_depth_ramp() {
+        // pair.rs and the tiled sub-pairs keep one SweepBuffers per
+        // worker and call in with whatever k0 their slab starts at.
+        let (geo, mats, stack) = setup(5, 8);
+        let rows: Vec<_> = mats.iter().map(|m| m.rows_f32()).collect();
+        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
+        let vmax = geo.detector.nv as f32 - 1.0;
+        let cb = ColumnBatch::compute(&rows, 2.0, 6.0);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut reused = SweepBuffers::new(3);
+        for k0 in [0usize, 1, 0, 5, 2] {
+            reused.reset();
+            cb.accumulate_into(&transposed, k0, vmax, &mut reused);
+            let mut fresh = SweepBuffers::new(3);
+            cb.accumulate_into(&transposed, k0, vmax, &mut fresh);
+            assert_eq!(bits(&reused.up), bits(&fresh.up), "up, k0 = {k0}");
+            assert_eq!(bits(&reused.down), bits(&fresh.down), "down, k0 = {k0}");
         }
     }
 

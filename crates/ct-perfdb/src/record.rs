@@ -30,7 +30,7 @@ pub const SCHEMA: &str = "ifdk-run/v1";
 /// `gups` has no grid, the distributed example has no tile string.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunConfig {
-    /// Back-projection kernel name (`scalar`, `lanes`, `lanes-fma`, ...).
+    /// Back-projection kernel name (`scalar`, `lanes`, ...).
     pub kernel: String,
     /// Projection memory layout (`standard`, `transposed`).
     pub layout: String,

@@ -6,7 +6,7 @@
 //! condition's byte span plus a polarity), and loop-head blocks with
 //! back-edges. The lowering is structural — `if`/`else` chains,
 //! `while`/`while let`, `loop`, `for`, `match` (arm patterns become
-//! edge conditions, which is how the float pass sees the `LaneMode::Fma`
+//! edge conditions, which is how the float pass sees a `Mode::Fma`
 //! gate), `return`/`break`/`continue`, `?` early exits, and
 //! control-flow initializers (`let r = loop { .. }`, `let v = if ..`)
 //! whose bound name surfaces as an opaque binding in the join block.

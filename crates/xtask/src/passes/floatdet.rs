@@ -16,8 +16,8 @@
 //!   iterating an unordered source — is a finding.
 //! * **Ungated FMA** (`float-fma`): `mul_add` contracts to one rounding
 //!   on FMA hardware and libm-emulates elsewhere, so a `.mul_add(..)`
-//!   reachable from a strict-mode kernel root must sit behind the
-//!   `lanes-fma` feature gate. The CFG records match-arm patterns and
+//!   reachable from a strict-mode kernel root must sit behind an
+//!   explicit FMA gate. The CFG records match-arm patterns and
 //!   if-conditions as edge conditions; a boolean "may be ungated"
 //!   dataflow clears on edges whose condition names the Fma gate, and
 //!   any `.mul_add` still reachable in the may-ungated state is a
@@ -152,7 +152,7 @@ impl FloatDeterminism {
                         msg: format!(
                             "`mul_add` in `{}` is reachable from a strict-mode kernel root \
                              without an FMA gate check — contraction changes the rounding; \
-                             gate it behind the lanes-fma path",
+                             gate it behind an explicit FMA mode",
                             f.qual
                         ),
                     });

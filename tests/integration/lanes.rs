@@ -5,7 +5,7 @@
 //! scheduling choice — block size 1 bitwise-equal to the unblocked
 //! driver, and every other blocking shape bitwise-equal to that.
 
-use ct_bp::lanes::{backproject_lanes_with, LaneMode, LaneSampler, LanesBlocking};
+use ct_bp::lanes::{backproject_lanes_with, LaneSampler, LanesBlocking};
 use ct_bp::warp::{backproject_warp_with, Sampler, WARP_BATCH};
 use ct_core::geometry::CbctGeometry;
 use ct_core::interp::{interp2, AxisWeight};
@@ -87,7 +87,7 @@ proptest! {
         len in 1usize..40,
     ) {
         let q = filled_image(Dims2::new(nu, nv), seed).transposed();
-        let lane = LaneSampler::new(&q, LaneMode::Strict);
+        let lane = LaneSampler::new(&q);
         let vs: Vec<f32> = (0..len).map(|k| v0 + k as f32 * dv).collect();
         let weight = 0.37f32;
         let mut got = vec![0.0f32; len];
@@ -107,7 +107,7 @@ proptest! {
 fn lane_column_matches_scalar_on_edge_clamps() {
     let dims = Dims2::new(7, 9);
     let q = filled_image(dims, 0xC0FFEE).transposed();
-    let lane = LaneSampler::new(&q, LaneMode::Strict);
+    let lane = LaneSampler::new(&q);
     let edge = |n: usize| {
         vec![
             -1.5f32,
@@ -168,10 +168,7 @@ proptest! {
         let (geo, stack) = synthetic_case(n, np, seed);
         let mats = geo.projection_matrices();
         let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-        let samplers: Vec<LaneSampler> = transposed
-            .iter()
-            .map(|q| LaneSampler::new(q, LaneMode::Strict))
-            .collect();
+        let samplers: Vec<LaneSampler> = transposed.iter().map(LaneSampler::new).collect();
         let nv = geo.detector.nv;
         let pool = Pool::new(threads);
 

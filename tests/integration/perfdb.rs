@@ -14,7 +14,7 @@ fn full_record() -> RunRecord {
     };
     let mut r = RunRecord::new("gups", 1_754_000_000_123, machine);
     r.config = RunConfig {
-        kernel: "lanes-fma".into(),
+        kernel: "lanes".into(),
         layout: "transposed".into(),
         threads: 8,
         grid_rows: 4,
@@ -107,7 +107,7 @@ fn store_round_trips_through_jsonl() {
 
     let hits = db.select(&Filter {
         source: Some("gups".into()),
-        kernel: Some("lanes-fma".into()),
+        kernel: Some("lanes".into()),
         ..Filter::default()
     });
     assert_eq!(hits.len(), 2, "filter matches both gups records");
