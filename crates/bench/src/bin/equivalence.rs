@@ -1,8 +1,8 @@
 //! Kernel equivalence gate: every back-projection variant must agree
 //! with the serial `standard` kernel (Algorithm 2) on randomized
-//! geometries, the tiled driver must be bit-identical across thread
-//! counts, and the lane-array kernel must be bit-identical to its
-//! scalar oracle.
+//! geometries, the driver must be bit-identical across thread counts
+//! and tile shapes, and the lane-array kernel must be bit-identical to
+//! its scalar oracle.
 //!
 //! ```text
 //! cargo run --release -p ifdk-bench --bin equivalence -- \
@@ -11,17 +11,17 @@
 //!
 //! Each trial draws a random (even-`Nz`) volume shape and projection
 //! count, back-projects a synthetic stack with all five Table 3 variants
-//! plus the tiled driver at 1/2/4 threads, and requires normalised RMSE
-//! against `standard` below 1e-5 plus exact equality of the tiled
-//! outputs across pool widths. The lane-array checks then run the
-//! lane kernel at 1/2/4 threads, tiled and untiled, requiring bitwise
-//! equality with the scalar warp kernel. The seed is printed so any
-//! failure replays with `--seed`. Exit codes follow
-//! `ifdk_bench::check`.
+//! at three tile shapes plus the driver at 1/2/4 threads, and requires
+//! normalised RMSE against `standard` below 1e-5 plus exact equality of
+//! the driver's outputs across pool widths. The lane-array checks then
+//! run the lane kernel at 1/2/4 threads and every tile shape, requiring
+//! bitwise equality with the scalar sampler in the untiled reference
+//! loop. The seed is printed so any failure replays with `--seed`. Exit
+//! codes follow `ifdk_bench::check`.
 
 use ct_bp::lanes::{backproject_batch, KernelImpl};
 use ct_bp::tiled::{backproject_tiled_with, TileConfig};
-use ct_bp::warp::WARP_BATCH;
+use ct_bp::warp::{backproject_warp_with, WARP_BATCH};
 use ct_bp::{backproject, backproject_standard, BpConfig, KernelVariant};
 use ct_core::metrics::nrmse;
 use ct_core::volume::VolumeLayout;
@@ -70,13 +70,25 @@ fn run(args: &[String]) -> Gate {
         let dims = geo.volume;
         println!("  trial {trial}: {nx}x{ny}x{nz} volume, {np} projections");
 
+        // AUTO, one whole-volume tile, and the finest split.
+        let tile_shapes = [
+            TileConfig::AUTO,
+            TileConfig {
+                i_block: nx,
+                slab_pairs: 1,
+            },
+            TileConfig {
+                i_block: 1,
+                slab_pairs: nz / 2,
+            },
+        ];
         let serial = ct_par::Pool::new(1);
         let reference =
             backproject_standard(&serial, &mats, &stack, dims).into_layout(VolumeLayout::IMajor);
 
-        // Every Table 3 variant, tiled and untiled, vs the reference.
+        // Every Table 3 variant at every tile shape vs the reference.
         for variant in KernelVariant::ALL {
-            for tile in [None, Some(TileConfig::AUTO)] {
+            for tile in tile_shapes {
                 let cfg = BpConfig {
                     variant,
                     batch: WARP_BATCH,
@@ -86,18 +98,17 @@ fn run(args: &[String]) -> Gate {
                 let v = backproject(&serial, cfg, &mats, &stack, dims)
                     .into_layout(VolumeLayout::IMajor);
                 let e = nrmse(reference.data(), v.data()).expect("same shape");
-                let tag = if tile.is_some() { "tiled" } else { "untiled" };
                 if e >= TOLERANCE {
                     failures.push(format!(
-                        "trial {trial}: {} ({tag}) vs standard: nrmse {e:.3e} >= {TOLERANCE:.0e}",
+                        "trial {trial}: {} ({tile:?}) vs standard: nrmse {e:.3e} >= {TOLERANCE:.0e}",
                         variant.name()
                     ));
                 }
             }
         }
 
-        // The tiled driver must not depend on pool width: bit-identical
-        // at 1, 2 and 4 threads.
+        // The driver must not depend on pool width: bit-identical at 1,
+        // 2 and 4 threads.
         let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
         let nv = geo.detector.nv;
         let t1 = backproject_tiled_with(
@@ -127,21 +138,12 @@ fn run(args: &[String]) -> Gate {
             }
         }
 
-        // Lane-array kernel vs its scalar oracle: bit-identical on
-        // every dispatch route and thread count.
+        // Lane-array kernel through the driver vs its scalar oracle in
+        // the untiled reference loop: bit-identical at every tile shape
+        // and thread count.
         let refs: Vec<&ct_core::projection::TransposedProjection> = transposed.iter().collect();
-        let scalar = backproject_batch(
-            &serial,
-            KernelImpl::Scalar,
-            &mats,
-            &refs,
-            nv,
-            dims,
-            WARP_BATCH,
-            None,
-        );
-        for tile in [None, Some(TileConfig::AUTO)] {
-            let tag = if tile.is_some() { "tiled" } else { "untiled" };
+        let scalar = backproject_warp_with(&serial, &mats, &transposed, nv, dims, WARP_BATCH);
+        for tile in tile_shapes {
             for threads in [1usize, 2, 4] {
                 let pool = ct_par::Pool::new(threads);
                 let lanes = backproject_batch(
@@ -156,8 +158,8 @@ fn run(args: &[String]) -> Gate {
                 );
                 if lanes.data() != scalar.data() {
                     failures.push(format!(
-                        "trial {trial}: lanes ({tag}, {threads} threads) \
-                         not bit-identical to scalar warp"
+                        "trial {trial}: lanes ({tile:?}, {threads} threads) \
+                         not bit-identical to the scalar reference loop"
                     ));
                 }
             }

@@ -7,19 +7,21 @@
 //! ```
 //!
 //! Back-projects a synthetic stack with every kernel (`standard`,
-//! `proposed`, `warp`, `lanes`, `tiled`), every projection
-//! layout the kernel supports (`rowmajor`, `transposed`, `blocked`) and
-//! pool widths 1/2/4, reporting median and median-absolute-deviation
-//! GUPS over warmed-up repeats (Section 5.3.3's metric). `--json`
+//! `proposed`, and the driver with the scalar sampler — `warp` — or the
+//! lane sampler — `lanes`, the route the pipelines ship), every
+//! projection layout the kernel supports (`rowmajor`, `transposed`,
+//! `blocked`) and pool widths 1/2/4, reporting median and
+//! median-absolute-deviation GUPS over warmed-up repeats (Section
+//! 5.3.3's metric). `--json`
 //! writes the machine-readable report `benchdiff` consumes (with
 //! machine provenance in the header); `--record` appends one
 //! `ifdk-run/v1` record per cell to the perf trajectory store
 //! (`perfscope` queries it); `--quick` shrinks the problem and the
 //! layout sweep for CI smoke runs.
 
-use ct_bp::lanes::{backproject_lanes_with, LaneSampler, LanesBlocking};
+use ct_bp::lanes::LaneSampler;
 use ct_bp::tiled::{backproject_tiled_with, TileConfig};
-use ct_bp::warp::{backproject_warp_with, WARP_BATCH};
+use ct_bp::warp::{Sampler, WARP_BATCH};
 use ct_bp::{backproject_proposed, backproject_standard};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::metrics::gups;
@@ -117,49 +119,29 @@ fn main() {
             || backproject_proposed(&pool, &mats, &stack, dims),
             &mut sink,
         ));
-        let mut batched: Vec<KernelRun> = vec![];
-        let warp_t = |p: &Pool| backproject_warp_with(p, &mats, &transposed, nv, dims, WARP_BATCH);
-        let tiled_t = |p: &Pool| {
-            backproject_tiled_with(
-                p,
-                &mats,
-                &transposed,
-                nv,
-                dims,
-                WARP_BATCH,
-                TileConfig::AUTO,
-            )
-        };
+        // Every batched cell runs the one driver the pipelines ship,
+        // with the tile shape they ship; the cells differ in sampler.
+        fn driver<'a, S: Sampler>(
+            mats: &'a [ProjectionMatrix],
+            samplers: &'a [S],
+            nv: usize,
+            dims: Dims3,
+        ) -> impl Fn(&Pool) -> Volume + 'a {
+            let (batch, tile) = (WARP_BATCH, TileConfig::AUTO);
+            move |p| backproject_tiled_with(p, mats, samplers, nv, dims, batch, tile)
+        }
         let lane: Vec<LaneSampler> = transposed.iter().map(LaneSampler::new).collect();
-        let lanes_t = |p: &Pool| {
-            backproject_lanes_with(
-                p,
-                &mats,
-                &lane,
-                nv,
-                dims,
-                WARP_BATCH,
-                LanesBlocking::default(),
-            )
-        };
-        batched.push(("warp/transposed", &warp_t));
-        batched.push(("lanes/transposed", &lanes_t));
-        batched.push(("tiled/transposed", &tiled_t));
+        let warp_t = driver(&mats, &transposed, nv, dims);
+        let lanes_t = driver(&mats, &lane, nv, dims);
         // The full sweep also covers the layouts the paper rejects
         // (Table 3's untransposed and texture-blocked accesses).
-        let warp_r = |p: &Pool| backproject_warp_with(p, &mats, &rowmajor, nv, dims, WARP_BATCH);
-        let warp_b = |p: &Pool| backproject_warp_with(p, &mats, &blocked, nv, dims, WARP_BATCH);
-        let tiled_r = |p: &Pool| {
-            backproject_tiled_with(p, &mats, &rowmajor, nv, dims, WARP_BATCH, TileConfig::AUTO)
-        };
-        let tiled_b = |p: &Pool| {
-            backproject_tiled_with(p, &mats, &blocked, nv, dims, WARP_BATCH, TileConfig::AUTO)
-        };
+        let warp_r = driver(&mats, &rowmajor, nv, dims);
+        let warp_b = driver(&mats, &blocked, nv, dims);
+        let mut batched: Vec<KernelRun> =
+            vec![("warp/transposed", &warp_t), ("lanes/transposed", &lanes_t)];
         if !quick {
             batched.push(("warp/rowmajor", &warp_r));
             batched.push(("warp/blocked", &warp_b));
-            batched.push(("tiled/rowmajor", &tiled_r));
-            batched.push(("tiled/blocked", &tiled_b));
         }
         for (key, run) in batched {
             let (kernel, layout) = key.split_once('/').expect("kernel/layout key");
@@ -208,19 +190,19 @@ fn main() {
         &rows,
     );
 
-    // The headline comparison: blocked parallel driver vs the serial
+    // The headline comparison: the shipped route vs the serial
     // Algorithm 2 baseline.
-    if let (Some(tiled), Some(base)) = (
-        report.find("tiled", "transposed", 4),
+    if let (Some(shipped), Some(base)) = (
+        report.find("lanes", "transposed", 4),
         report.find("standard", "rowmajor", 1),
     ) {
         eprintln!(
-            "tiled/transposed@4 vs standard/rowmajor@1: {:.2}x",
-            tiled.gups_median / base.gups_median
+            "lanes/transposed@4 vs standard/rowmajor@1: {:.2}x",
+            shipped.gups_median / base.gups_median
         );
     }
-    // The kernel-generation comparison: lane-array vs scalar warp,
-    // single thread (no scheduler noise).
+    // The kernel-generation comparison: lane sampler vs scalar sampler,
+    // same driver, single thread (no scheduler noise).
     if let (Some(lanes), Some(warp)) = (
         report.find("lanes", "transposed", 1),
         report.find("warp", "transposed", 1),

@@ -15,7 +15,7 @@ pub const SCHEMA: &str = "ifdk-bench/gups/v1";
 /// One measured cell of the kernel x layout x threads sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GupsCell {
-    /// Kernel name (`standard`, `proposed`, `warp`, `tiled`).
+    /// Kernel name (`standard`, `proposed`, `warp`, `lanes`).
     pub kernel: String,
     /// Projection access layout (`rowmajor`, `transposed`, `blocked`).
     pub layout: String,

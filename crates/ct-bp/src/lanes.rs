@@ -22,7 +22,7 @@
 //! gather index is clamped to `nv - 2` after both rows were checked to
 //! be `nv` long, so every `.get()` fallback is dead code (the
 //! predicate makes the clamp a no-op: same bits); and the depth ramp
-//! `(k0 + k) as f32` is precomputed per column batch ([`SweepBuffers`]).
+//! `(k0 + k) as f32` is precomputed per column batch ([`crate::warp::SweepBuffers`]).
 //! Check it in the **linked** binary (`objdump` recipe in the README):
 //! `cargo rustc -- --emit asm` shows ThinLTO pre-link code, unpacked.
 //!
@@ -33,15 +33,12 @@
 //! same `+0.0` fraction the reference computes), and the blend is the
 //! same `a*(1-d) + b*d` association. Scalar IEEE arithmetic in
 //! identical order gives identical bits, so the lane kernel is
-//! bit-identical to the warp kernel for any chunking, blocking, or
+//! bit-identical to the warp kernel for any chunking, tiling, or
 //! thread count — the equivalence suite asserts exactly that.
 
-use crate::tiled::{
-    backproject_pair_tiled_reporting, backproject_tiled_with, TileConfig, TileReport,
-};
-use crate::warp::{
-    backproject_warp_with, ColumnBatch, Sampler, SweepBuffers, LANE_WIDTH, WARP_BATCH,
-};
+use crate::pair::{full_pair, SlabPair};
+use crate::tiled::{backproject_pair_tiled_reporting, TileConfig, TileReport};
+use crate::warp::{Sampler, LANE_WIDTH};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::interp::AxisWeight;
 use ct_core::problem::Dims3;
@@ -49,12 +46,12 @@ use ct_core::projection::TransposedProjection;
 use ct_core::volume::{Volume, VolumeLayout};
 use ct_par::Pool;
 
-use crate::pair::{backproject_pair_with, SlabPair};
-
-/// Which back-projection implementation the drivers dispatch to — the
+/// Which column-sweep implementation the driver runs — the
 /// kernel-generation selector layered on top of the Table 3
 /// [`crate::KernelVariant`] axis (which picks *data layout*, not
-/// implementation).
+/// implementation). The pipelines run the default; tests and the
+/// `equivalence` bin pick the scalar oracle through
+/// [`crate::BpConfig::kernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelImpl {
     /// The original per-element kernels (`ct_bp::warp`), kept as the
@@ -67,20 +64,11 @@ pub enum KernelImpl {
 }
 
 impl KernelImpl {
-    /// Parse an `IFDK_KERNEL` value: exactly `scalar` or `lanes`.
+    /// Parse a kernel name: exactly `scalar` or `lanes`.
     pub fn parse(name: &str) -> Option<Self> {
         [KernelImpl::Scalar, KernelImpl::Lanes]
             .into_iter()
             .find(|kernel| kernel.name() == name)
-    }
-
-    /// Resolve from the `IFDK_KERNEL` environment variable; unset or
-    /// unrecognised values give the default.
-    pub fn from_env() -> Self {
-        std::env::var("IFDK_KERNEL")
-            .ok()
-            .and_then(|name| Self::parse(&name))
-            .unwrap_or_default()
     }
 
     /// Stable name for reports and bench cell keys.
@@ -249,8 +237,8 @@ impl<'a> UColumn<'a> {
 }
 
 /// A [`Sampler`] running the lane-array sweep over a transposed
-/// projection. Borrowing wrapper, so the existing generic drivers
-/// (warp, pair, tiled) take the lane path with no signature changes.
+/// projection. Borrowing wrapper, so the generic driver and reference
+/// loop take the lane path with no signature changes.
 #[derive(Debug, Clone, Copy)]
 pub struct LaneSampler<'a> {
     proj: &'a TransposedProjection,
@@ -295,131 +283,11 @@ impl Sampler for LaneSampler<'_> {
     }
 }
 
-/// Projection-batch blocking configuration for
-/// [`backproject_lanes_with`]. Fields set to `0` resolve automatically
-/// from cache-budget heuristics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LanesBlocking {
-    /// Projection *batches* per resident block (`0` = auto): a block's
-    /// projections are all swept through a column tile before the next
-    /// block starts.
-    pub block_batches: usize,
-    /// Voxel columns per resident tile (`0` = auto).
-    pub j_tile: usize,
-}
-
-impl LanesBlocking {
-    /// Resolve the `0 = auto` fields. The column tile is sized so its
-    /// depth-sweep output (`j_tile * nz` f32 accumulators plus the
-    /// sweep scratch) stays within an L1-ish 16 KiB budget; the batch
-    /// block is sized so a block's worth of per-column detector row
-    /// pairs (`batch * 2 * nv` f32 per column) stays within an L2-ish
-    /// 256 KiB budget. Both clamp to at least 1.
-    pub fn resolve(
-        &self,
-        ny: usize,
-        nz: usize,
-        nv: usize,
-        batch: usize,
-        batches: usize,
-    ) -> (usize, usize) {
-        const L1_BUDGET: usize = 16 * 1024;
-        const L2_BUDGET: usize = 256 * 1024;
-        let j_tile = if self.j_tile == 0 {
-            L1_BUDGET
-                .checked_div(nz.max(1) * 4)
-                .unwrap_or(L1_BUDGET)
-                .clamp(1, ny.max(1))
-        } else {
-            self.j_tile.clamp(1, ny.max(1))
-        };
-        let block_batches = if self.block_batches == 0 {
-            L2_BUDGET
-                .checked_div(batch.max(1) * 2 * nv.max(1) * 4)
-                .unwrap_or(L2_BUDGET)
-                .clamp(1, batches.max(1))
-        } else {
-            self.block_batches.clamp(1, batches.max(1))
-        };
-        (j_tile, block_batches)
-    }
-}
-
-/// The lane-array full-volume driver: the warp kernel's loop structure
-/// with projection-batch blocking — a block of projection batches is
-/// swept through a resident tile of voxel columns before the sweep
-/// advances, so block-sized projection state stays cache-resident
-/// while every column of the tile consumes it.
-///
-/// Per voxel, batches still accumulate in global batch order (blocks
-/// ascending, batches within a block ascending), and each
-/// `(batch, column)` pair runs the identical reset/sweep/add sequence —
-/// so the output is **bit-identical** to
-/// [`crate::warp::backproject_warp_with`] for every blocking shape and
-/// thread count, including `block_batches = 1` (which *is* the
-/// unblocked loop order).
-pub fn backproject_lanes_with(
-    pool: &Pool,
-    mats: &[ProjectionMatrix],
-    samplers: &[LaneSampler<'_>],
-    nv: usize,
-    dims: Dims3,
-    batch: usize,
-    blocking: LanesBlocking,
-) -> Volume {
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert_eq!(mats.len(), samplers.len(), "one matrix per projection");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert!(dims.nz.is_multiple_of(2), "lanes kernel needs even Nz");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert!((1..=WARP_BATCH).contains(&batch), "batch must be in 1..=32");
-    let (ny, nz) = (dims.ny, dims.nz);
-    let half = nz / 2;
-    let rows: Vec<[[f32; 4]; 3]> = mats.iter().map(|m| m.rows_f32()).collect();
-    let batches = rows.len().div_ceil(batch.max(1)).max(1);
-    let (j_tile, block_batches) = blocking.resolve(ny, nz, nv, batch, batches);
-    let block = block_batches * batch;
-
-    let vmax = nv as f32 - 1.0;
-    let mut vol = Volume::zeros(dims, VolumeLayout::KMajor);
-    let chunk = ny * nz;
-    pool.parallel_chunks_mut_indexed(vol.data_mut(), chunk, |i, _start, slice| {
-        let ifl = i as f32;
-        let mut buf = SweepBuffers::new(half);
-        for (rows_blk, samplers_blk) in rows.chunks(block).zip(samplers.chunks(block)) {
-            let mut j0 = 0;
-            while j0 < ny {
-                let jn = (j0 + j_tile).min(ny);
-                for (rows_b, samplers_b) in rows_blk.chunks(batch).zip(samplers_blk.chunks(batch)) {
-                    let tile_cols = slice.chunks_exact_mut(nz).enumerate().take(jn).skip(j0);
-                    for (j, col) in tile_cols {
-                        let jf = j as f32;
-                        let cb = ColumnBatch::compute(rows_b, ifl, jf);
-                        buf.reset();
-                        cb.accumulate_into(samplers_b, 0, vmax, &mut buf);
-                        let (col_up, col_down) = col.split_at_mut(half);
-                        for (dst, src) in col_up.iter_mut().zip(&buf.up) {
-                            *dst += *src;
-                        }
-                        for (dst, src) in col_down.iter_mut().rev().zip(&buf.down) {
-                            *dst += *src;
-                        }
-                    }
-                }
-                j0 = jn;
-            }
-        }
-    });
-    vol
-}
-
-/// Full-volume batched back-projection over transposed projections,
-/// dispatched on [`KernelImpl`]: the entry the reconstruction
-/// pipelines call. `tile: Some` routes through the tiled driver (which
-/// both kernels share — the lane path rides in through the sampler);
-/// `tile: None` runs the untiled driver (warp for scalar, the blocked
-/// lanes driver otherwise). All four routes are bit-identical.
-#[allow(clippy::too_many_arguments)] // mirrors backproject_tiled_with + kernel
+/// Full-volume batched back-projection over transposed projections —
+/// the entry the single-node pipelines call:
+/// [`backproject_pair_batch_reporting`] on [`SlabPair::full`], reports
+/// dropped. `dims.nz` must be even.
+#[allow(clippy::too_many_arguments)] // backproject_pair_batch_reporting less the pair
 pub fn backproject_batch(
     pool: &Pool,
     kernel: KernelImpl,
@@ -428,36 +296,18 @@ pub fn backproject_batch(
     nv: usize,
     dims: Dims3,
     batch: usize,
-    tile: Option<TileConfig>,
+    tile: TileConfig,
 ) -> Volume {
-    match (kernel, tile) {
-        (KernelImpl::Scalar, Some(t)) => {
-            backproject_tiled_with(pool, mats, projs, nv, dims, batch, t)
-        }
-        (KernelImpl::Scalar, None) => backproject_warp_with(pool, mats, projs, nv, dims, batch),
-        (KernelImpl::Lanes, Some(t)) => {
-            let samplers = LaneSampler::wrap(projs);
-            backproject_tiled_with(pool, mats, &samplers, nv, dims, batch, t)
-        }
-        (KernelImpl::Lanes, None) => {
-            let samplers = LaneSampler::wrap(projs);
-            backproject_lanes_with(
-                pool,
-                mats,
-                &samplers,
-                nv,
-                dims,
-                batch,
-                LanesBlocking::default(),
-            )
-        }
-    }
+    let Some(pair) = full_pair(dims) else {
+        return Volume::zeros(dims, VolumeLayout::KMajor);
+    };
+    backproject_pair_batch_reporting(pool, kernel, mats, projs, nv, dims, pair, batch, tile).0
 }
 
-/// Slab-pair back-projection dispatched on [`KernelImpl`], with tile
-/// reports when the tiled driver runs (the distributed pipeline's
-/// span attribution). Mirrors [`backproject_batch`] for one
-/// [`SlabPair`].
+/// Slab-pair back-projection through the driver, with its tile reports
+/// (the distributed pipeline's span attribution). Both kernels share the
+/// driver — [`KernelImpl`] only picks the sampler the column sweep runs —
+/// and are bit-identical.
 #[allow(clippy::too_many_arguments)] // mirrors backproject_pair_tiled_reporting + kernel
 pub fn backproject_pair_batch_reporting(
     pool: &Pool,
@@ -468,26 +318,15 @@ pub fn backproject_pair_batch_reporting(
     dims: Dims3,
     pair: SlabPair,
     batch: usize,
-    tile: Option<TileConfig>,
+    tile: TileConfig,
 ) -> (Volume, Vec<TileReport>) {
-    match (kernel, tile) {
-        (KernelImpl::Scalar, Some(t)) => {
-            backproject_pair_tiled_reporting(pool, mats, projs, nv, dims, pair, batch, t)
+    match kernel {
+        KernelImpl::Scalar => {
+            backproject_pair_tiled_reporting(pool, mats, projs, nv, dims, pair, batch, tile)
         }
-        (KernelImpl::Scalar, None) => (
-            backproject_pair_with(pool, mats, projs, nv, dims, pair, batch),
-            Vec::new(),
-        ),
-        (KernelImpl::Lanes, Some(t)) => {
+        KernelImpl::Lanes => {
             let samplers = LaneSampler::wrap(projs);
-            backproject_pair_tiled_reporting(pool, mats, &samplers, nv, dims, pair, batch, t)
-        }
-        (KernelImpl::Lanes, None) => {
-            let samplers = LaneSampler::wrap(projs);
-            (
-                backproject_pair_with(pool, mats, &samplers, nv, dims, pair, batch),
-                Vec::new(),
-            )
+            backproject_pair_tiled_reporting(pool, mats, &samplers, nv, dims, pair, batch, tile)
         }
     }
 }
@@ -495,7 +334,8 @@ pub fn backproject_pair_batch_reporting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::warp::backproject_warp;
+    use crate::pair::backproject_pair_with;
+    use crate::warp::{backproject_warp, backproject_warp_with, WARP_BATCH};
     use ct_core::geometry::CbctGeometry;
     use ct_core::problem::Dims2;
     use ct_core::projection::{ProjectionImage, ProjectionStack};
@@ -639,86 +479,52 @@ mod tests {
         // A slab pair that starts away from k = 0: its depth ramp is
         // offset, and its slices must still be the full volume's.
         let pair = SlabPair::new(geo.volume.nz, 3, 4).unwrap();
-        for tile in [None, Some(TileConfig::AUTO)] {
-            for threads in [1usize, 3] {
-                let pool = Pool::new(threads);
-                let v = backproject_batch(
-                    &pool,
-                    KernelImpl::Lanes,
-                    &mats,
-                    &refs,
-                    nv,
-                    geo.volume,
-                    WARP_BATCH,
-                    tile,
-                );
-                assert_eq!(v.data(), reference.data(), "tile {tile:?} x{threads}");
-                let (slab, _) = backproject_pair_batch_reporting(
-                    &pool,
-                    KernelImpl::Lanes,
-                    &mats,
-                    &refs,
-                    nv,
-                    geo.volume,
-                    pair,
-                    WARP_BATCH,
-                    tile,
-                );
-                for i in 0..geo.volume.nx {
-                    for j in 0..geo.volume.ny {
-                        for local in 0..pair.local_nz() {
-                            assert_eq!(
-                                slab.get(i, j, local).to_bits(),
-                                reference.get(i, j, pair.global_k(local)).to_bits(),
-                                "tile {tile:?} x{threads}: ({i}, {j}, local {local})"
-                            );
-                        }
+        let assert_is_slab_of_reference = |slab: &Volume, what: &str| {
+            for i in 0..geo.volume.nx {
+                for j in 0..geo.volume.ny {
+                    for local in 0..pair.local_nz() {
+                        assert_eq!(
+                            slab.get(i, j, local).to_bits(),
+                            reference.get(i, j, pair.global_k(local)).to_bits(),
+                            "{what}: ({i}, {j}, local {local})"
+                        );
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn blocking_shapes_are_bitwise_equivalent() {
-        let (geo, mats, stack) = setup(40, 16);
-        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-        let refs: Vec<&TransposedProjection> = transposed.iter().collect();
-        let samplers = LaneSampler::wrap(&refs);
-        let nv = stack.dims().nv;
-        let unblocked = backproject_lanes_with(
-            &Pool::serial(),
-            &mats,
-            &samplers,
-            nv,
-            geo.volume,
-            WARP_BATCH,
-            LanesBlocking {
-                block_batches: 1,
-                j_tile: geo.volume.ny,
-            },
-        );
-        for blocking in [
-            LanesBlocking::default(),
-            LanesBlocking {
-                block_batches: 2,
-                j_tile: 3,
-            },
-            LanesBlocking {
-                block_batches: 100,
-                j_tile: 1,
-            },
-        ] {
-            let v = backproject_lanes_with(
-                &Pool::serial(),
+        };
+        for threads in [1usize, 3] {
+            let pool = Pool::new(threads);
+            // The lane sampler through the untiled reference loop ...
+            let samplers = LaneSampler::wrap(&refs);
+            let v = backproject_warp_with(&pool, &mats, &samplers, nv, geo.volume, WARP_BATCH);
+            assert_eq!(v.data(), reference.data(), "untiled x{threads}");
+            let slab =
+                backproject_pair_with(&pool, &mats, &samplers, nv, geo.volume, pair, WARP_BATCH);
+            assert_is_slab_of_reference(&slab, &format!("untiled x{threads}"));
+            // ... and through the driver the pipelines call.
+            let v = backproject_batch(
+                &pool,
+                KernelImpl::Lanes,
                 &mats,
-                &samplers,
+                &refs,
                 nv,
                 geo.volume,
                 WARP_BATCH,
-                blocking,
+                TileConfig::AUTO,
             );
-            assert_eq!(v.data(), unblocked.data(), "{blocking:?}");
+            assert_eq!(v.data(), reference.data(), "driver x{threads}");
+            let (slab, _) = backproject_pair_batch_reporting(
+                &pool,
+                KernelImpl::Lanes,
+                &mats,
+                &refs,
+                nv,
+                geo.volume,
+                pair,
+                WARP_BATCH,
+                TileConfig::AUTO,
+            );
+            assert_is_slab_of_reference(&slab, &format!("driver x{threads}"));
         }
     }
 
@@ -746,46 +552,15 @@ mod tests {
         let refs: Vec<&TransposedProjection> = transposed.iter().collect();
         let nv = stack.dims().nv;
         let pair = SlabPair::new(16, 2, 5).unwrap();
-        for tile in [None, Some(TileConfig::AUTO)] {
-            let (scalar, _) = backproject_pair_batch_reporting(
-                &Pool::serial(),
-                KernelImpl::Scalar,
-                &mats,
-                &refs,
-                nv,
-                geo.volume,
-                pair,
-                WARP_BATCH,
-                tile,
-            );
-            let (lanes, _) = backproject_pair_batch_reporting(
-                &Pool::new(2),
-                KernelImpl::Lanes,
-                &mats,
-                &refs,
-                nv,
-                geo.volume,
-                pair,
-                WARP_BATCH,
-                tile,
-            );
-            assert_eq!(lanes.data(), scalar.data(), "tile {tile:?}");
-        }
-    }
-
-    #[test]
-    fn blocking_resolve_clamps() {
-        let (jt, bb) = LanesBlocking::default().resolve(64, 64, 96, 32, 3);
-        assert!((1..=64).contains(&jt));
-        assert!((1..=3).contains(&bb));
-        let (jt, bb) = LanesBlocking {
-            block_batches: 100,
-            j_tile: 100,
-        }
-        .resolve(8, 16, 32, 32, 2);
-        assert_eq!((jt, bb), (8, 2));
-        // Degenerate shapes must not divide by zero.
-        let (jt, bb) = LanesBlocking::default().resolve(0, 0, 0, 0, 0);
-        assert_eq!((jt, bb), (1, 1));
+        let run = |pool: &Pool, kernel| {
+            let tile = TileConfig::AUTO;
+            backproject_pair_batch_reporting(
+                pool, kernel, &mats, &refs, nv, geo.volume, pair, WARP_BATCH, tile,
+            )
+            .0
+        };
+        let scalar = run(&Pool::serial(), KernelImpl::Scalar);
+        let lanes = run(&Pool::new(2), KernelImpl::Lanes);
+        assert_eq!(lanes.data(), scalar.data());
     }
 }

@@ -20,23 +20,26 @@
 //!   per-column `U`/`1/z` values shared across the whole column (the warp
 //!   register exchange of the CUDA kernel becomes two stack arrays), and
 //!   in-register accumulation so the volume is touched once per batch.
+//!   Holds the [`warp::Sampler`] trait, the scalar column sweep and the
+//!   one per-column update both loops below run.
+//! * [`tiled`] — **the driver** every pipeline and batched variant runs:
+//!   a slab pair is partitioned into i-blocks crossed with sub slab
+//!   pairs, tiles are dispatched over [`ct_par::Pool`] with per-tile
+//!   private output, and the assembled result is bit-identical at any
+//!   thread count and tile shape.
+//! * [`pair`] — the symmetric slab pair, the unit of output decomposition
+//!   in the distributed framework (each row of ranks owns a slab and its
+//!   mirror — the `2*R` sub-volumes of the paper's Figure 3), and the
+//!   **untiled reference loop** the driver is tested bit-identical to.
+//! * [`lanes`] — the lane-array sampler of the hot column sweep:
+//!   per-column bilinear weights resolved once per `(u, projection)`,
+//!   depth loop in fixed `[f32; 8]` chunks of packed arithmetic and
+//!   branch-free gathers. [`lanes::KernelImpl`] names the two samplers
+//!   (scalar oracle; lanes, the default: bit-identical and faster).
 //! * [`variant`] — the Table 3 kernel matrix (`RTK-32`, `Bp-Tex`,
 //!   `Tex-Tran`, `Bp-L1`, `L1-Tran`) mapping the GPU texture/L1 access
 //!   paths onto blocked / row-major / transposed CPU layouts.
-//! * [`pair`] — symmetric slab-pair back-projection, the unit of output
-//!   decomposition in the distributed framework (each row of ranks owns a
-//!   slab and its mirror — the `2*R` sub-volumes of the paper's Figure 3).
-//! * [`tiled`] — the cache-blocked, thread-parallel driver: the volume is
-//!   partitioned into i-blocks crossed with sub slab pairs, tiles are
-//!   dispatched over [`ct_par::Pool`] with per-tile private output, and
-//!   the assembled result is bit-identical to the untiled kernels at any
-//!   thread count.
-//! * [`lanes`] — the lane-array generation of the hot column sweep:
-//!   per-column bilinear weights resolved once per `(u, projection)`,
-//!   depth loop in fixed `[f32; 8]` chunks of packed arithmetic and
-//!   branch-free gathers, projection-batch blocking sized to L1/L2.
-//!   Selected via [`lanes::KernelImpl`] (`IFDK_KERNEL` env var);
-//!   bit-identical to [`warp`].
+//! * [`ablation`] — the proposed kernel with one optimisation off each.
 //!
 //! All kernels compute detector coordinates in `f32` (as the GPU does) and
 //! produce identical results regardless of thread count: threads own
@@ -73,10 +76,10 @@ pub mod variant;
 pub mod warp;
 
 pub use lanes::{KernelImpl, LaneSampler};
-pub use pair::{backproject_pair, SlabPair};
+pub use pair::SlabPair;
 pub use proposed::backproject_proposed;
 pub use standard::{backproject_standard, backproject_standard_slab};
-pub use tiled::{backproject_tiled, TileConfig, TileReport};
+pub use tiled::{TileConfig, TileReport};
 pub use variant::{backproject, BpConfig, KernelVariant};
 pub use warp::{backproject_warp, WARP_BATCH};
 

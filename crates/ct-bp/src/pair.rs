@@ -13,7 +13,6 @@ use crate::warp::{ColumnBatch, Sampler, SweepBuffers, WARP_BATCH};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
-use ct_core::projection::{ProjectionStack, TransposedProjection};
 use ct_core::volume::{Volume, VolumeLayout};
 use ct_par::Pool;
 
@@ -44,6 +43,12 @@ impl SlabPair {
             )));
         }
         Ok(Self { nz_full, k0, len })
+    }
+
+    /// The one pair covering a whole `nz_full`-deep volume: its
+    /// pair-local layout is the full k-major volume.
+    pub fn full(nz_full: usize) -> Result<Self> {
+        Self::new(nz_full, 0, nz_full / 2)
     }
 
     /// Split the lower half of a volume into `r` equal slab pairs.
@@ -86,32 +91,23 @@ impl SlabPair {
     }
 }
 
-/// Back-project one slab pair with the proposed batched kernel
-/// (transposed projections, k-major output — the `L1-Tran`
-/// configuration iFDK deploys on each GPU).
+/// [`SlabPair::full`] at a full-volume kernel entry: odd `Nz` breaks the
+/// caller contract, and a zero-depth volume has no pair (`None`; the
+/// caller returns the empty volume).
+pub(crate) fn full_pair(dims: Dims3) -> Option<SlabPair> {
+    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
+    assert!(dims.nz.is_multiple_of(2), "batched kernels need even Nz");
+    SlabPair::full(dims.nz).ok()
+}
+
+/// Back-project one slab pair with the batched kernel of Listing 1 —
+/// the **reference** loop: in place, one voxel plane `i` per parallel
+/// work item, no private tiles and no assembly. The tiled driver
+/// ([`crate::tiled::backproject_pair_tiled_reporting`]) is tested
+/// bit-identical to this.
 ///
 /// The output volume has dims `(nx, ny, 2*len)` in k-major layout; use
 /// [`SlabPair::global_k`] to map its slices back into the full volume.
-pub fn backproject_pair(
-    pool: &Pool,
-    mats: &[ProjectionMatrix],
-    projs: &ProjectionStack,
-    dims: Dims3,
-    pair: SlabPair,
-) -> Volume {
-    let transposed: Vec<TransposedProjection> = projs.iter().map(|p| p.transposed()).collect();
-    backproject_pair_with(
-        pool,
-        mats,
-        &transposed,
-        projs.dims().nv,
-        dims,
-        pair,
-        WARP_BATCH,
-    )
-}
-
-/// Generic-sampler version of [`backproject_pair`].
 pub fn backproject_pair_with<S: Sampler>(
     pool: &Pool,
     mats: &[ProjectionMatrix],
@@ -139,20 +135,11 @@ pub fn backproject_pair_with<S: Sampler>(
         let mut buf = SweepBuffers::new(pair.len);
         for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
             for (j, col) in slice.chunks_exact_mut(local_nz).enumerate().take(ny) {
-                let jf = j as f32;
-                let cb = ColumnBatch::compute(rows_b, ifl, jf);
-                // Depth sweep starting at the pair's global z offset;
-                // the local column is the upper slab followed by its
+                // The local column is the upper slab followed by its
                 // Theorem-1 mirror in ascending global order.
-                buf.reset();
-                cb.accumulate_into(samplers_b, pair.k0, vmax, &mut buf);
-                let (col_up, col_down) = col.split_at_mut(pair.len);
-                for (dst, src) in col_up.iter_mut().zip(&buf.up) {
-                    *dst += *src;
-                }
-                for (dst, src) in col_down.iter_mut().rev().zip(&buf.down) {
-                    *dst += *src;
-                }
+                ColumnBatch::update_column(
+                    rows_b, samplers_b, ifl, j as f32, pair.k0, vmax, &mut buf, col,
+                );
             }
         }
     });
@@ -209,7 +196,20 @@ mod tests {
     use crate::warp::backproject_warp;
     use ct_core::geometry::CbctGeometry;
     use ct_core::problem::Dims2;
-    use ct_core::projection::ProjectionImage;
+    use ct_core::projection::{ProjectionImage, ProjectionStack, TransposedProjection};
+
+    /// The reference loop over transposed projections, full batches.
+    fn backproject_pair(
+        pool: &Pool,
+        mats: &[ProjectionMatrix],
+        projs: &ProjectionStack,
+        dims: Dims3,
+        pair: SlabPair,
+    ) -> Volume {
+        let transposed: Vec<TransposedProjection> = projs.iter().map(|p| p.transposed()).collect();
+        let nv = projs.dims().nv;
+        backproject_pair_with(pool, mats, &transposed, nv, dims, pair, WARP_BATCH)
+    }
 
     fn setup(np: usize, n: usize) -> (CbctGeometry, Vec<ProjectionMatrix>, ProjectionStack) {
         let geo = CbctGeometry::standard(Dims2::new(2 * n, 2 * n), np, Dims3::cube(n));
@@ -234,6 +234,9 @@ mod tests {
         assert!(SlabPair::new(16, 5, 4).is_err()); // crosses the mid-plane
         assert!(SlabPair::new(15, 0, 4).is_err()); // odd nz
         assert!(SlabPair::new(16, 0, 0).is_err()); // empty
+        assert_eq!(SlabPair::full(16), SlabPair::new(16, 0, 8));
+        assert!(SlabPair::full(15).is_err());
+        assert!(SlabPair::full(0).is_err());
     }
 
     #[test]

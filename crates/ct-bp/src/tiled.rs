@@ -1,28 +1,29 @@
-//! Cache-blocked, slab-tiled parallel back-projection driver.
+//! The back-projection driver: cache-blocked, slab-tiled, thread-parallel.
+//! Every pipeline and every Table 3 batched variant runs through
+//! [`backproject_pair_tiled_reporting`].
 //!
-//! The Table 3 kernels walk the whole volume once per projection batch;
-//! at production sizes a single voxel column's working set already spills
-//! the last-level cache and the batched reuse of [`crate::warp`] stops
-//! paying. This driver partitions the output into **tiles** — an i-range
-//! of voxel columns crossed with a z-symmetric *sub* slab pair (reusing
-//! [`SlabPair`] for the z split, exactly the paper's Figure 3
-//! decomposition recursed one level down) — and dispatches the tiles over
-//! [`ct_par::Pool`] with work stealing.
+//! Walking the whole volume once per projection batch spills the
+//! last-level cache at production sizes and the batched reuse of
+//! [`crate::warp`] stops paying. This driver partitions the output into
+//! **tiles** — an i-range of voxel columns crossed with a z-symmetric
+//! *sub* slab pair (reusing [`SlabPair`] for the z split, exactly the
+//! paper's Figure 3 decomposition recursed one level down) — and
+//! dispatches the tiles over [`ct_par::Pool`] with work stealing.
 //!
 //! Every tile owns a private output volume, so threads never share an
 //! output cache line, and each voxel is accumulated by exactly one tile
 //! in a fixed projection order: the assembled result is **bit-identical**
-//! for every thread count, and bit-identical to the untiled
-//! [`crate::warp::backproject_warp_with`] kernel. The per-tile wall-clock
+//! for every thread count and tile shape, and bit-identical to the
+//! untiled reference loop [`crate::pair::backproject_pair_with`] (both
+//! run `ColumnBatch::update_column`). The per-tile wall-clock
 //! intervals are reported back so the caller can attribute them to
 //! observability spans (tile-level load balance in traces).
 
-use crate::pair::SlabPair;
+use crate::pair::{full_pair, SlabPair};
 use crate::warp::{ColumnBatch, Sampler, SweepBuffers, WARP_BATCH};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
-use ct_core::projection::{ProjectionStack, TransposedProjection};
 use ct_core::volume::{Volume, VolumeLayout};
 use ct_obs::clock::{self, Instant};
 use ct_par::Pool;
@@ -154,9 +155,8 @@ pub fn tiles_for(dims: Dims3, pair: SlabPair, i_block: usize, parts: usize) -> R
 }
 
 /// Serial accumulation of one tile into a private `(i_len, ny,
-/// 2*sub_len)` k-major volume — the [`crate::warp`] column-batched
-/// kernel with the voxel indices offset by the tile origin, so the
-/// arithmetic (and therefore the bits) match the untiled kernels.
+/// 2*sub_len)` k-major volume — the reference `(i, batch, j)` loop with
+/// the voxel indices offset by the tile origin.
 fn accumulate_tile<S: Sampler>(
     tile: &Tile,
     rows: &[[[f32; 4]; 3]],
@@ -176,19 +176,9 @@ fn accumulate_tile<S: Sampler>(
         for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
             // analyze: allow(bounds, reason = "local_nz = 2 * pair.len and SlabPair::new rejects len == 0")
             for (j, col) in plane.chunks_exact_mut(local_nz).enumerate() {
-                let jf = j as f32;
-                let cb = ColumnBatch::compute(rows_b, ifl, jf);
-                // Same depth-sweep structure (and therefore the same bits)
-                // as the untiled drivers, offset by the sub pair's origin.
-                buf.reset();
-                cb.accumulate_into(samplers_b, sub.k0, vmax, &mut buf);
-                let (up_half, down_half) = col.split_at_mut(sub.len);
-                for (dst, src) in up_half.iter_mut().zip(&buf.up) {
-                    *dst += *src;
-                }
-                for (dst, src) in down_half.iter_mut().rev().zip(&buf.down) {
-                    *dst += *src;
-                }
+                ColumnBatch::update_column(
+                    rows_b, samplers_b, ifl, j as f32, sub.k0, vmax, &mut buf, col,
+                );
             }
         }
     }
@@ -279,26 +269,10 @@ pub fn backproject_pair_tiled_reporting<S: Sampler>(
     (out, reports)
 }
 
-/// [`backproject_pair_tiled_reporting`] without the report plumbing.
-#[allow(clippy::too_many_arguments)] // mirrors backproject_pair_with + cfg
-pub fn backproject_pair_tiled_with<S: Sampler>(
-    pool: &Pool,
-    mats: &[ProjectionMatrix],
-    samplers: &[S],
-    nv: usize,
-    dims: Dims3,
-    pair: SlabPair,
-    batch: usize,
-    cfg: TileConfig,
-) -> Volume {
-    backproject_pair_tiled_reporting(pool, mats, samplers, nv, dims, pair, batch, cfg).0
-}
-
 /// Full-volume tiled back-projection with any sampler set: the single
 /// slab pair covering the whole volume, split into tiles.
 ///
-/// Output is k-major; `dims.nz` must be even. Bit-identical to
-/// [`crate::warp::backproject_warp_with`] at every thread count.
+/// Output is k-major; `dims.nz` must be even.
 pub fn backproject_tiled_with<S: Sampler>(
     pool: &Pool,
     mats: &[ProjectionMatrix],
@@ -308,34 +282,10 @@ pub fn backproject_tiled_with<S: Sampler>(
     batch: usize,
     cfg: TileConfig,
 ) -> Volume {
-    // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
-    assert!(dims.nz.is_multiple_of(2), "tiled kernel needs even Nz");
-    let Ok(pair) = SlabPair::new(dims.nz, 0, dims.nz / 2) else {
-        // Only reachable for a degenerate zero-depth volume.
+    let Some(pair) = full_pair(dims) else {
         return Volume::zeros(dims, VolumeLayout::KMajor);
     };
-    backproject_pair_tiled_with(pool, mats, samplers, nv, dims, pair, batch, cfg)
-}
-
-/// The paper's best configuration (`L1-Tran`) through the tiled driver:
-/// transposed projections, k-major volume, 32-projection batches.
-pub fn backproject_tiled(
-    pool: &Pool,
-    mats: &[ProjectionMatrix],
-    projs: &ProjectionStack,
-    dims: Dims3,
-    cfg: TileConfig,
-) -> Volume {
-    let transposed: Vec<TransposedProjection> = projs.iter().map(|p| p.transposed()).collect();
-    backproject_tiled_with(
-        pool,
-        mats,
-        &transposed,
-        projs.dims().nv,
-        dims,
-        WARP_BATCH,
-        cfg,
-    )
+    backproject_pair_tiled_reporting(pool, mats, samplers, nv, dims, pair, batch, cfg).0
 }
 
 #[cfg(test)]
@@ -345,7 +295,20 @@ mod tests {
     use crate::warp::backproject_warp;
     use ct_core::geometry::CbctGeometry;
     use ct_core::problem::Dims2;
-    use ct_core::projection::ProjectionImage;
+    use ct_core::projection::{ProjectionImage, ProjectionStack};
+
+    /// `L1-Tran` (transposed projections, full batches) through the driver.
+    fn backproject_tiled(
+        pool: &Pool,
+        mats: &[ProjectionMatrix],
+        projs: &ProjectionStack,
+        dims: Dims3,
+        cfg: TileConfig,
+    ) -> Volume {
+        let transposed: Vec<_> = projs.iter().map(|p| p.transposed()).collect();
+        let nv = projs.dims().nv;
+        backproject_tiled_with(pool, mats, &transposed, nv, dims, WARP_BATCH, cfg)
+    }
 
     fn setup(np: usize, n: usize) -> (CbctGeometry, Vec<ProjectionMatrix>, ProjectionStack) {
         let geo = CbctGeometry::standard(Dims2::new(2 * n, 2 * n), np, Dims3::cube(n));
@@ -465,7 +428,7 @@ mod tests {
             pair,
             WARP_BATCH,
         );
-        let tiled = backproject_pair_tiled_with(
+        let (tiled, _) = backproject_pair_tiled_reporting(
             &Pool::new(2),
             &mats,
             &transposed,

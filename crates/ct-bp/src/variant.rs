@@ -18,8 +18,10 @@
 //! v-loop strides by `Nu` floats — so that is what `Bp-L1` does here.
 
 use crate::lanes::{backproject_batch, KernelImpl};
+use crate::pair::SlabPair;
 use crate::tiled::{backproject_tiled_with, TileConfig};
-use crate::warp::{backproject_warp_with, Sampler, WARP_BATCH};
+use crate::warp::{Sampler, WARP_BATCH};
+use ct_core::error::{CtError, Result};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
 use ct_core::projection::{BlockedProjection, ProjectionStack};
@@ -92,11 +94,10 @@ pub struct BpConfig {
     pub variant: KernelVariant,
     /// Projection batch per pass (Listing 1 uses 32).
     pub batch: usize,
-    /// Tile shape for the blocked parallel driver; `None` runs the
-    /// untiled per-plane path. Ignored by `RTK-32`, whose i-major layout
-    /// the tiled driver does not produce. Either way the output bits are
-    /// identical — tiling changes scheduling, not arithmetic.
-    pub tile: Option<TileConfig>,
+    /// Tile shape for the driver. Ignored by `RTK-32`, whose i-major
+    /// layout the driver does not produce. Every shape gives identical
+    /// output bits — tiling changes scheduling, not arithmetic.
+    pub tile: TileConfig,
     /// Which column-sweep implementation runs the hot loop (scalar
     /// oracle vs lane-array; see [`crate::lanes`]). Only `L1-Tran`
     /// dispatches on this — the other Table 3 variants are layout
@@ -110,9 +111,29 @@ impl Default for BpConfig {
         Self {
             variant: KernelVariant::L1Tran,
             batch: WARP_BATCH,
-            tile: Some(TileConfig::AUTO),
-            kernel: KernelImpl::from_env(),
+            tile: TileConfig::AUTO,
+            kernel: KernelImpl::default(),
         }
+    }
+}
+
+impl BpConfig {
+    /// Check the configuration against the volume it will fill, so a bad
+    /// one is an `Err` at every entry point instead of a kernel panic:
+    /// the batch must be in `1..=WARP_BATCH`, and every variant except
+    /// `RTK-32` runs the symmetric kernel, which needs the volume to be a
+    /// slab pair (even `Nz`).
+    pub fn validate(&self, dims: Dims3) -> Result<()> {
+        if !(1..=WARP_BATCH).contains(&self.batch) {
+            return Err(CtError::InvalidConfig(format!(
+                "back-projection batch {} must be in 1..={WARP_BATCH}",
+                self.batch
+            )));
+        }
+        if self.variant != KernelVariant::Rtk32 {
+            SlabPair::full(dims.nz)?;
+        }
+        Ok(())
     }
 }
 
@@ -125,22 +146,6 @@ impl Sampler for BlockedTransposed {
     #[inline]
     fn sample(&self, u: f32, v: f32) -> f32 {
         self.0.sample(v, u)
-    }
-}
-
-/// Run the batched kernel through the tiled driver when the config asks
-/// for tiling, or the untiled per-plane path otherwise.
-fn run_batched<S: Sampler>(
-    pool: &Pool,
-    cfg: BpConfig,
-    mats: &[ProjectionMatrix],
-    samplers: &[S],
-    nv: usize,
-    dims: Dims3,
-) -> Volume {
-    match cfg.tile {
-        Some(t) => backproject_tiled_with(pool, mats, samplers, nv, dims, cfg.batch, t),
-        None => backproject_warp_with(pool, mats, samplers, nv, dims, cfg.batch),
     }
 }
 
@@ -159,19 +164,19 @@ pub fn backproject(
         KernelVariant::Rtk32 => backproject_rtk32(pool, mats, projs, dims),
         KernelVariant::BpTex => {
             let samplers: Vec<BlockedProjection> = projs.iter().map(|p| p.blocked()).collect();
-            run_batched(pool, cfg, mats, &samplers, nv, dims)
+            backproject_tiled_with(pool, mats, &samplers, nv, dims, cfg.batch, cfg.tile)
         }
         KernelVariant::TexTran => {
             let samplers: Vec<BlockedTransposed> = projs
                 .iter()
                 .map(|p| BlockedTransposed(p.transposed().as_swapped_image().blocked()))
                 .collect();
-            run_batched(pool, cfg, mats, &samplers, nv, dims)
+            backproject_tiled_with(pool, mats, &samplers, nv, dims, cfg.batch, cfg.tile)
         }
         KernelVariant::BpL1 => {
             let samplers: Vec<ct_core::projection::ProjectionImage> =
                 projs.iter().cloned().collect();
-            run_batched(pool, cfg, mats, &samplers, nv, dims)
+            backproject_tiled_with(pool, mats, &samplers, nv, dims, cfg.batch, cfg.tile)
         }
         KernelVariant::L1Tran => {
             let transposed: Vec<ct_core::projection::TransposedProjection> =
@@ -321,10 +326,35 @@ mod tests {
         let cfg = BpConfig::default();
         assert_eq!(cfg.variant, KernelVariant::L1Tran);
         assert_eq!(cfg.batch, 32);
-        assert_eq!(cfg.tile, Some(TileConfig::AUTO));
-        // Default kernel comes from IFDK_KERNEL; with the variable unset
-        // (the test environment) that is the lane kernel.
-        assert_eq!(cfg.kernel, KernelImpl::from_env());
+        assert_eq!(cfg.tile, TileConfig::AUTO);
+        assert_eq!(cfg.kernel, KernelImpl::Lanes);
+    }
+
+    #[test]
+    fn validate_rejects_what_the_kernels_would_panic_on() {
+        let even = Dims3::cube(8);
+        let odd = Dims3::new(8, 8, 7);
+        assert!(BpConfig::default().validate(even).is_ok());
+        for batch in [0, WARP_BATCH + 1] {
+            let cfg = BpConfig {
+                batch,
+                ..Default::default()
+            };
+            assert!(matches!(cfg.validate(even), Err(CtError::InvalidConfig(_))));
+        }
+        for variant in KernelVariant::ALL {
+            let cfg = BpConfig {
+                variant,
+                ..Default::default()
+            };
+            // Only Algorithm 2 (RTK-32) has no mirror pairing.
+            assert_eq!(
+                cfg.validate(odd).is_ok(),
+                variant == KernelVariant::Rtk32,
+                "{}",
+                variant.name()
+            );
+        }
     }
 
     #[test]
@@ -355,26 +385,44 @@ mod tests {
 
     #[test]
     fn tiled_dispatch_is_bit_identical_to_untiled() {
+        // The layout variants through the driver against the same
+        // samplers through the untiled reference loop.
+        use crate::warp::backproject_warp_with;
         let (geo, mats, stack) = setup(12, 8);
+        let nv = stack.dims().nv;
+        let untiled = |variant| -> Volume {
+            let pool = Pool::serial();
+            match variant {
+                KernelVariant::BpTex => {
+                    let q: Vec<_> = stack.iter().map(|p| p.blocked()).collect();
+                    backproject_warp_with(&pool, &mats, &q, nv, geo.volume, WARP_BATCH)
+                }
+                KernelVariant::TexTran => {
+                    let q: Vec<_> = stack
+                        .iter()
+                        .map(|p| BlockedTransposed(p.transposed().as_swapped_image().blocked()))
+                        .collect();
+                    backproject_warp_with(&pool, &mats, &q, nv, geo.volume, WARP_BATCH)
+                }
+                KernelVariant::BpL1 => {
+                    let q: Vec<_> = stack.iter().cloned().collect();
+                    backproject_warp_with(&pool, &mats, &q, nv, geo.volume, WARP_BATCH)
+                }
+                _ => crate::warp::backproject_warp(&pool, &mats, &stack, geo.volume),
+            }
+        };
         for variant in [
             KernelVariant::BpTex,
             KernelVariant::TexTran,
             KernelVariant::BpL1,
             KernelVariant::L1Tran,
         ] {
-            let untiled = BpConfig {
+            let cfg = BpConfig {
                 variant,
-                tile: None,
                 ..Default::default()
             };
-            let tiled = BpConfig {
-                variant,
-                tile: Some(TileConfig::AUTO),
-                ..Default::default()
-            };
-            let a = backproject(&Pool::serial(), untiled, &mats, &stack, geo.volume);
-            let b = backproject(&Pool::new(3), tiled, &mats, &stack, geo.volume);
-            assert_eq!(a.data(), b.data(), "{}", variant.name());
+            let tiled = backproject(&Pool::new(3), cfg, &mats, &stack, geo.volume);
+            assert_eq!(untiled(variant).data(), tiled.data(), "{}", variant.name());
         }
     }
 }

@@ -13,6 +13,7 @@
 //! count of the volume data which is stored in the global memory",
 //! Section 3.3.1).
 
+use crate::pair::{backproject_pair_with, full_pair};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
 use ct_core::projection::{ProjectionStack, TransposedProjection};
@@ -189,13 +190,13 @@ impl Sampler for ct_core::projection::BlockedProjection {
 ///
 /// [`ColumnBatch::compute`] evaluates, once per voxel column `(i, j)`,
 /// the per-projection values `u`, `1/z`, `1/z^2` and the affine
-/// coefficients of `y(k)` (Theorems 2-3 hoisting). The hot k-loop then
-/// calls [`ColumnBatch::accumulate`], whose inner loops run over exactly
-/// 8 lanes each: detector-row arithmetic and the weighted accumulation
-/// happen in fixed `[f32; 8]` arrays the compiler auto-vectorizes. Lanes
-/// past the batch width carry zero weight (and clamp their sampler
-/// index), so tail batches cost one padded chunk instead of a
-/// variable-length scalar loop.
+/// coefficients of `y(k)` (Theorems 2-3 hoisting). The driver and the
+/// reference loop then run `update_column`, whose depth sweep
+/// ([`ColumnBatch::accumulate_into`]) hands each projection of the batch
+/// to [`Sampler::accumulate_column`] with `u` already resolved.
+/// [`ColumnBatch::accumulate`] is the per-voxel oracle of that sweep: 8
+/// lanes per chunk in fixed `[f32; 8]` arrays, lanes past the batch width
+/// carrying zero weight.
 #[derive(Debug, Clone)]
 pub struct ColumnBatch {
     u: [f32; WARP_BATCH],
@@ -336,6 +337,38 @@ impl ColumnBatch {
             q.accumulate_column(u, &buf.vs_m, w, &mut buf.down);
         }
     }
+
+    /// The whole per-column update of one projection batch (Listing 1
+    /// lines 11-30): lane setup for the column `(i, j)`, the depth sweep
+    /// from global depth `k0`, then one volume update per voxel and per
+    /// Theorem-1 mirror. `col` is the pair-local column — the upper slab
+    /// followed by its mirror in ascending global order — and `buf` was
+    /// built for `col.len() / 2` voxel pairs. The driver and the
+    /// reference loop both run exactly this, which is what makes them
+    /// bit-identical.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // the column's coordinates, not options
+    pub(crate) fn update_column<S: Sampler>(
+        rows: &[[[f32; 4]; 3]],
+        samplers: &[S],
+        ifl: f32,
+        jf: f32,
+        k0: usize,
+        vmax: f32,
+        buf: &mut SweepBuffers,
+        col: &mut [f32],
+    ) {
+        let cb = Self::compute(rows, ifl, jf);
+        buf.reset();
+        cb.accumulate_into(samplers, k0, vmax, buf);
+        let (col_up, col_down) = col.split_at_mut(buf.up.len());
+        for (dst, src) in col_up.iter_mut().zip(&buf.up) {
+            *dst += *src;
+        }
+        for (dst, src) in col_down.iter_mut().rev().zip(&buf.down) {
+            *dst += *src;
+        }
+    }
 }
 
 /// Fixed-shape pairwise reduction of 8 lanes (order never depends on
@@ -346,8 +379,9 @@ fn tree8(a: &[f32; LANE_WIDTH]) -> f32 {
     ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
 }
 
-/// Generic batched kernel: Algorithm 4 loop structure with Listing 1's
-/// 32-projection batching, over any projection access path.
+/// Full-volume batched kernel over any projection access path:
+/// the reference loop [`backproject_pair_with`] on
+/// [`crate::SlabPair::full`].
 ///
 /// Output is k-major; `dims.nz` must be even.
 pub fn backproject_warp_with<S: Sampler>(
@@ -358,44 +392,10 @@ pub fn backproject_warp_with<S: Sampler>(
     dims: Dims3,
     batch: usize,
 ) -> Volume {
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert_eq!(mats.len(), samplers.len(), "one matrix per projection");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert!(dims.nz.is_multiple_of(2), "warp kernel needs even Nz");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert!((1..=WARP_BATCH).contains(&batch), "batch must be in 1..=32");
-    let (ny, nz) = (dims.ny, dims.nz);
-    let half = nz / 2;
-    let rows: Vec<[[f32; 4]; 3]> = mats.iter().map(|m| m.rows_f32()).collect();
-
-    let vmax = nv as f32 - 1.0;
-    let mut vol = Volume::zeros(dims, VolumeLayout::KMajor);
-    let chunk = ny * nz;
-    pool.parallel_chunks_mut_indexed(vol.data_mut(), chunk, |i, _start, slice| {
-        let ifl = i as f32;
-        let mut buf = SweepBuffers::new(half);
-        for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
-            for (j, col) in slice.chunks_exact_mut(nz).enumerate().take(ny) {
-                let jf = j as f32;
-                // "Lane" setup: per projection of the batch, the constants
-                // of the voxel column (Listing 1 lines 11-14).
-                let cb = ColumnBatch::compute(rows_b, ifl, jf);
-                // Listing 1 lines 15-30 as a depth sweep: batch-local
-                // accumulation, then one volume update per voxel and its
-                // Theorem-1 mirror.
-                buf.reset();
-                cb.accumulate_into(samplers_b, 0, vmax, &mut buf);
-                let (col_up, col_down) = col.split_at_mut(half);
-                for (dst, src) in col_up.iter_mut().zip(&buf.up) {
-                    *dst += *src;
-                }
-                for (dst, src) in col_down.iter_mut().rev().zip(&buf.down) {
-                    *dst += *src;
-                }
-            }
-        }
-    });
-    vol
+    let Some(pair) = full_pair(dims) else {
+        return Volume::zeros(dims, VolumeLayout::KMajor);
+    };
+    backproject_pair_with(pool, mats, samplers, nv, dims, pair, batch)
 }
 
 /// The paper's best configuration (`L1-Tran`): transposed projections,

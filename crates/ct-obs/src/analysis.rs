@@ -13,7 +13,7 @@
 //!   nothing running) that break the pipeline ([`LaneUtilization`]);
 //! * **ring-stall attribution** — who waited, on which buffer, how many
 //!   times, for how long ([`StallStat`]), from the timed
-//!   `*.push_wait` / `*.pop_wait` spans `ifdk::ring` records;
+//!   `*.push_wait` / `*.pop_wait` spans `ct_sync::ring` records;
 //! * **the critical path** — the heaviest chain (by covered time)
 //!   through the producer→consumer dependency graph built from span
 //!   [`crate::SpanDeps`] tags, program order, collective peer groups

@@ -15,9 +15,9 @@
 //! ambient [`ct_obs::current`] track — which is how
 //! `ct_obs::analysis` attributes pipeline stalls to specific buffers.
 //!
-//! The buffer lives in `ct-sync` (re-exported as `ifdk::ring`) so that it
-//! is written against the facade's [`Mutex`]/[`Condvar`]: the `--cfg
-//! loom` build swaps those for model-checked primitives and
+//! The buffer lives in `ct-sync` (re-exported as `ifdk::RingBuffer`) so
+//! that it is written against the facade's [`Mutex`]/[`Condvar`]: the
+//! `--cfg loom` build swaps those for model-checked primitives and
 //! `tests/loom_ring.rs` explores every bounded-preemption interleaving of
 //! push/pop/close.
 
@@ -247,28 +247,19 @@ impl<T> RingBuffer<T> {
         result
     }
 
-    /// Pop up to `max` items in one call (at least one unless the stream
-    /// is finished) — how the BP thread assembles projection batches.
+    /// Pop exactly `max` items, blocking for each, or fewer once the
+    /// buffer is closed and drained — how the back-projection thread
+    /// assembles projection batches. A short (or empty) batch therefore
+    /// only ever ends the stream, so batch boundaries are a function of
+    /// the item sequence, never of timing.
     pub fn pop_batch(&self, max: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        if max == 0 {
-            return out;
-        }
-        match self.pop() {
-            Some(first) => out.push(first),
-            None => return out,
-        }
-        // Opportunistically take whatever else is already queued.
-        let mut st = self.shared.state.lock();
+        let mut out = Vec::with_capacity(max);
         while out.len() < max {
-            match st.queue.pop_front() {
-                // analyze: allow(lock, reason = "Vec::push on the local batch buffer; matches the blocking RingBuffer::push only by method-name over-approximation (DESIGN 6c)")
+            match self.pop() {
                 Some(item) => out.push(item),
                 None => break,
             }
         }
-        drop(st);
-        self.shared.not_full.notify_all();
         out
     }
 
@@ -475,9 +466,11 @@ mod tests {
         }
         let batch = rb.pop_batch(3);
         assert_eq!(batch, vec![0, 1, 2]);
+        // A short batch means the stream ended: without the close this
+        // call would block for the missing items.
+        rb.close();
         let batch = rb.pop_batch(10);
         assert_eq!(batch, vec![3, 4]);
-        rb.close();
         assert!(rb.pop_batch(4).is_empty());
         assert!(rb.pop_batch(0).is_empty());
     }

@@ -47,11 +47,10 @@
 //! the hot path. [`model_divergence`] compares a measured
 //! [`DistReport`] against the paper's analytic model (Eqs. 8–19).
 
+use crate::batch::BatchAccumulator;
 use crate::grid::RankGrid;
-use crate::ring::RingBuffer;
-use ct_bp::fdk_scale;
-use ct_bp::lanes::{backproject_pair_batch_reporting, KernelImpl};
 use ct_bp::tiled::TileConfig;
+use ct_bp::{fdk_scale, BpConfig};
 use ct_comm::{AllGatherAlgorithm, Comm, Universe};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::{CbctGeometry, ProjectionMatrix};
@@ -66,6 +65,7 @@ use ct_par::stats::{StageSummary, TimingReport};
 use ct_par::Pool;
 use ct_perfmodel::{KernelModel, MachineConfig, ModelBreakdown, ModelInput};
 use ct_pfs::PfsStore;
+use ct_sync::ring::RingBuffer;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -138,14 +138,10 @@ pub struct DistConfig {
     pub filter: FilterConfig,
     /// Back-projection batch size (the paper uses 32).
     pub batch: usize,
-    /// Tile shape for the blocked back-projection driver; `None` runs
-    /// the untiled per-plane path. Output bits are identical either way;
-    /// tiling changes scheduling and adds per-tile `bp.tile` spans.
-    pub tile: Option<TileConfig>,
-    /// Column-sweep implementation for the kernel (scalar oracle vs
-    /// lane-array; see [`ct_bp::lanes`]). The default reads the
-    /// `IFDK_KERNEL` env var; strict lanes is bit-identical to scalar.
-    pub kernel: KernelImpl,
+    /// Tile shape for the back-projection driver. Output bits are
+    /// identical for every shape; it changes scheduling and the
+    /// per-tile `bp.tile` spans.
+    pub tile: TileConfig,
     /// Worker threads per rank for filtering and the kernel.
     pub threads_per_rank: usize,
     /// Circular-buffer capacity (projections).
@@ -184,8 +180,7 @@ impl DistConfig {
             grid,
             filter: FilterConfig::default(),
             batch: 32,
-            tile: Some(TileConfig::AUTO),
-            kernel: KernelImpl::from_env(),
+            tile: TileConfig::AUTO,
             threads_per_rank: 1,
             ring_capacity: 64,
             allgather: AllGatherAlgorithm::Ring,
@@ -214,10 +209,35 @@ impl DistConfig {
                 2 * self.grid.rows
             )));
         }
-        if self.batch == 0 || self.batch > 32 {
-            return Err(CtError::InvalidConfig("batch must be in 1..=32".into()));
+        self.bp().validate(self.geo.volume)
+    }
+
+    /// The back-projection side of the configuration: the paper's
+    /// `L1-Tran` kernel with this run's batch and tile shape.
+    fn bp(&self) -> BpConfig {
+        BpConfig {
+            batch: self.batch,
+            tile: self.tile,
+            ..BpConfig::default()
         }
-        Ok(())
+    }
+
+    /// The analytic model's view of this run on `machine` x `kernel`.
+    fn model_input(&self, machine: &MachineConfig, kernel: &KernelModel) -> Result<ModelInput> {
+        let input = ModelInput {
+            nu: self.geo.detector.nu,
+            nv: self.geo.detector.nv,
+            np: self.geo.num_projections,
+            nx: self.geo.volume.nx,
+            ny: self.geo.volume.ny,
+            nz: self.geo.volume.nz,
+            r: self.grid.rows,
+            c: self.grid.cols,
+            machine: machine.clone(),
+            kernel: *kernel,
+        };
+        input.validate().map_err(CtError::InvalidConfig)?;
+        Ok(input)
     }
 }
 
@@ -387,20 +407,7 @@ fn plan_live_stages(cfg: &DistConfig, lc: &LiveConfig, reg: &LiveRegistry) -> Re
     };
     let model = match (&lc.machine, &lc.kernel) {
         (Some(machine), Some(kernel)) => {
-            let input = ModelInput {
-                nu: cfg.geo.detector.nu,
-                nv: cfg.geo.detector.nv,
-                np: cfg.geo.num_projections,
-                nx: cfg.geo.volume.nx,
-                ny: cfg.geo.volume.ny,
-                nz: cfg.geo.volume.nz,
-                r: cfg.grid.rows,
-                c: cfg.grid.cols,
-                machine: machine.clone(),
-                kernel: *kernel,
-            };
-            input.validate().map_err(CtError::InvalidConfig)?;
-            Some(ModelBreakdown::evaluate(&input))
+            Some(ModelBreakdown::evaluate(&cfg.model_input(machine, kernel)?))
         }
         _ => None,
     };
@@ -461,20 +468,7 @@ pub fn model_divergence(
     machine: &MachineConfig,
     kernel: &KernelModel,
 ) -> Result<DivergenceReport> {
-    let input = ModelInput {
-        nu: cfg.geo.detector.nu,
-        nv: cfg.geo.detector.nv,
-        np: cfg.geo.num_projections,
-        nx: cfg.geo.volume.nx,
-        ny: cfg.geo.volume.ny,
-        nz: cfg.geo.volume.nz,
-        r: cfg.grid.rows,
-        c: cfg.grid.cols,
-        machine: machine.clone(),
-        kernel: *kernel,
-    };
-    input.validate().map_err(CtError::InvalidConfig)?;
-    let model = ModelBreakdown::evaluate(&input);
+    let model = ModelBreakdown::evaluate(&cfg.model_input(machine, kernel)?);
     let mut div = DivergenceReport::new();
     for (stage, predicted) in [
         ("load", model.t_load),
@@ -549,7 +543,6 @@ fn run_rank(
         // ------------------------------------------------ Filtering thread
         let flt_ring = to_gather.clone();
         let flt_obs = obs.clone();
-        let flt_pool = pool;
         let flt_range = my_range.clone();
         let filterer_ref = &filterer;
         let flt = s.spawn(move || -> Result<()> {
@@ -571,7 +564,6 @@ fn run_rank(
                     let img = ProjectionImage::from_vec(geo.detector, data)?;
                     let q = {
                         let _sp = track.span("filter").with_index(i as u64);
-                        let _ = &flt_pool; // reserved for multi-projection batching
                         filterer_ref.filter_indexed(i, &img)
                     };
                     if flt_ring.push(q.into_vec()).is_err() {
@@ -589,13 +581,7 @@ fn run_rank(
         // ------------------------------------------- Back-projection thread
         let bp_ring = to_bp.clone();
         let bp_obs = obs.clone();
-        let bp_pool = pool;
-        let batch = cfg.batch;
-        let tile_cfg = cfg.tile;
-        let kernel = cfg.kernel;
         let throttle = cfg.bp_throttle;
-        let dims = geo.volume;
-        let nv = geo.detector.nv;
         let bp_per = geo.detector.len();
         let bp = s.spawn(move || -> Result<Volume> {
             let track = bp_obs.track(rank as u32, ThreadRole::Backprojection);
@@ -610,10 +596,7 @@ fn run_rank(
                 }
             }
             let _closer = CloseOnDrop(bp_ring.clone());
-            let mut acc = Volume::zeros(
-                Dims3::new(dims.nx, dims.ny, pair.local_nz()),
-                VolumeLayout::KMajor,
-            );
+            let mut acc = BatchAccumulator::new(geo, pair, cfg.bp());
             let mut batch_idx = 0u64;
             loop {
                 // Fault injection: delay each batch so the inbound ring
@@ -622,20 +605,10 @@ fn run_rank(
                 if let Some(d) = throttle {
                     std::thread::sleep(d);
                 }
-                let mut items: Vec<(usize, u64, TransposedProjection)> = Vec::with_capacity(batch);
-                while items.len() < batch {
-                    match bp_ring.pop() {
-                        Some(x) => items.push(x),
-                        None => break,
-                    }
-                }
+                let items = bp_ring.pop_batch(cfg.batch);
                 if items.is_empty() {
                     break;
                 }
-                let batch_mats: Vec<ProjectionMatrix> =
-                    items.iter().map(|(i, _, _)| mats[*i]).collect();
-                let samplers: Vec<&TransposedProjection> =
-                    items.iter().map(|(_, _, q)| q).collect();
                 // The batch consumes everything the [op_lo, op_hi]
                 // AllGather ops produced.
                 let op_lo = items.iter().map(|(_, o, _)| *o).min().unwrap_or(0);
@@ -646,23 +619,12 @@ fn run_rank(
                         .with_index(batch_idx)
                         .with_deps("allgather", op_lo, op_hi);
                     sp.set_bytes((items.len() * bp_per * 4) as u64);
-                    let (part, reports) = backproject_pair_batch_reporting(
-                        &bp_pool,
-                        kernel,
-                        &batch_mats,
-                        &samplers,
-                        nv,
-                        dims,
-                        pair,
-                        batch,
-                        tile_cfg,
-                    );
+                    let reports = acc.add(&pool, mats, items.iter().map(|(i, _, q)| (*i, q)))?;
                     // Tile intervals were measured on pool workers (which
                     // cannot own a track); attribute them here, tagged by
-                    // tile index, so traces show tile-level load balance
-                    // (`reports` is empty on the untiled path). The tile
-                    // set is a pure function of the config, keeping the
-                    // span structure deterministic.
+                    // tile index, so traces show tile-level load balance.
+                    // The tile set is a pure function of the config,
+                    // keeping the span structure deterministic.
                     for r in &reports {
                         track.record_completed(
                             "bp.tile",
@@ -672,11 +634,10 @@ fn run_rank(
                             r.finished,
                         );
                     }
-                    acc.accumulate(&part)?;
                 }
                 batch_idx += 1;
             }
-            Ok(acc)
+            Ok(acc.into_volume())
         });
 
         // ------------------------------------------------------ Main thread
@@ -1136,7 +1097,7 @@ mod tests {
     #[test]
     fn tiled_bp_matches_untiled_and_traces_tiles() {
         let (geo, store) = setup(8, 16);
-        let run_with = |tile: Option<TileConfig>| {
+        let run_with = |tile: TileConfig| {
             let mut cfg = DistConfig::new(geo.clone(), RankGrid::new(2, 2).unwrap());
             cfg.tile = tile;
             cfg.obs = Recorder::trace();
@@ -1144,22 +1105,27 @@ mod tests {
             let report = reconstruct_distributed(&cfg, &store, &output).unwrap();
             (download_volume(&output, geo.volume).unwrap(), report)
         };
-        let (tiled, report) = run_with(Some(TileConfig::AUTO));
-        let (untiled, plain) = run_with(None);
+        let (tiled, report) = run_with(TileConfig::AUTO);
+        // One tile per batch: the whole slab pair, no blocking at all.
+        let (untiled, plain) = run_with(TileConfig {
+            i_block: geo.volume.nx,
+            slab_pairs: 1,
+        });
         // Tiling changes scheduling, not bits.
         assert_eq!(tiled.data(), untiled.data());
-        // Every rank's back-projection thread attributed per-tile spans.
+        // Every rank's back-projection thread attributed per-tile spans:
+        // AUTO splits each batch, the one-tile shape records exactly one
+        // tile per batch.
         for rank in 0..4u32 {
-            let t = report
-                .trace
-                .stage(rank, ThreadRole::Backprojection, "bp.tile")
-                .unwrap();
-            assert!(t.count >= 1, "rank {rank} recorded no tile spans");
+            let stage = |r: &DistReport, name| {
+                r.trace
+                    .stage(rank, ThreadRole::Backprojection, name)
+                    .unwrap_or_else(|| panic!("rank {rank} recorded no {name} spans"))
+                    .count
+            };
+            assert!(stage(&report, "bp.tile") > stage(&report, "backprojection"));
+            assert_eq!(stage(&plain, "bp.tile"), stage(&plain, "backprojection"));
         }
-        assert!(plain
-            .trace
-            .stage(0, ThreadRole::Backprojection, "bp.tile")
-            .is_none());
     }
 
     #[test]

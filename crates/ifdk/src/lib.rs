@@ -30,8 +30,8 @@
 //!   proposed kernel; the pipelined variant overlaps the two stages
 //!   through a circular buffer exactly like one iFDK rank does).
 //! * [`grid`] — the 2D rank-grid decomposition (paper Section 4.1.1).
-//! * [`ring`] — the bounded circular buffers connecting pipeline threads
-//!   (Section 4.1.3, Figure 4a).
+//! * [`RingBuffer`] — the bounded circular buffers connecting pipeline
+//!   threads (Section 4.1.3, Figure 4a), from [`ct_sync::ring`].
 //! * [`distributed`] — the full framework: per-rank
 //!   Filter/Main/Back-projection threads, per-projection AllGather within
 //!   columns, one Reduce per row, PFS in/out (Sections 4.1.1-4.1.4). The
@@ -45,19 +45,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod batch;
 pub mod distributed;
 pub mod grid;
 pub mod plan;
 pub mod report;
-pub mod ring;
 pub mod single;
 pub mod streaming;
 
+pub use ct_sync::ring::RingBuffer;
 pub use distributed::{
     model_divergence, reconstruct_distributed, DistConfig, DistReport, LiveConfig,
 };
 pub use grid::RankGrid;
 pub use plan::{plan_rank_grid, GridChoice};
-pub use ring::RingBuffer;
 pub use single::{reconstruct, reconstruct_pipelined, reconstruct_pipelined_live, ReconOptions};
 pub use streaming::StreamingReconstructor;

@@ -7,10 +7,9 @@
 //! paper's Section 3.1 heterogeneity argument in miniature: the filter
 //! latency hides behind the much heavier back-projection.
 
-use crate::ring::RingBuffer;
-use ct_bp::lanes::backproject_batch;
+use crate::batch::{finish_volume, BatchAccumulator};
 use ct_bp::warp::WARP_BATCH;
-use ct_bp::{backproject, fdk_scale, BpConfig};
+use ct_bp::{backproject, BpConfig};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::CbctGeometry;
 use ct_core::projection::{ProjectionStack, TransposedProjection};
@@ -19,6 +18,7 @@ use ct_filter::{FilterConfig, Filterer};
 use ct_obs::clock;
 use ct_obs::live::LiveRegistry;
 use ct_par::Pool;
+use ct_sync::ring::RingBuffer;
 
 /// Options for single-node reconstruction.
 #[derive(Debug, Clone, Copy)]
@@ -59,8 +59,9 @@ impl ReconOptions {
     }
 }
 
-fn check_inputs(geo: &CbctGeometry, projections: &ProjectionStack) -> Result<()> {
+fn check_inputs(geo: &CbctGeometry, projections: &ProjectionStack, bp: &BpConfig) -> Result<()> {
     geo.validate()?;
+    bp.validate(geo.volume)?;
     if projections.dims() != geo.detector {
         return Err(CtError::ShapeMismatch {
             expected: format!("{}x{}", geo.detector.nu, geo.detector.nv),
@@ -83,7 +84,7 @@ pub fn reconstruct(
     projections: &ProjectionStack,
     opts: &ReconOptions,
 ) -> Result<Volume> {
-    check_inputs(geo, projections)?;
+    check_inputs(geo, projections, &opts.bp)?;
     let pool = opts.pool();
     let filterer = Filterer::new(geo, opts.filter);
     // filter_stack applies Parker short-scan weights internally when the
@@ -91,12 +92,8 @@ pub fn reconstruct(
     // fdk_scale).
     let filtered = filterer.filter_stack(&pool, projections);
     let mats = geo.projection_matrices();
-    let mut vol =
-        backproject(&pool, opts.bp, &mats, &filtered, geo.volume).into_layout(VolumeLayout::IMajor);
-    if opts.apply_scale {
-        vol.scale(fdk_scale(geo));
-    }
-    Ok(vol)
+    let vol = backproject(&pool, opts.bp, &mats, &filtered, geo.volume);
+    Ok(finish_volume(vol, geo, opts.apply_scale))
 }
 
 /// Pipelined FDK: a filtering thread streams filtered projections through
@@ -131,19 +128,12 @@ fn reconstruct_pipelined_impl(
     opts: &ReconOptions,
     live: Option<&LiveRegistry>,
 ) -> Result<Volume> {
-    check_inputs(geo, projections)?;
-    if !geo.volume.nz.is_multiple_of(2) {
-        return Err(CtError::InvalidConfig(
-            "pipelined reconstruction uses the symmetric kernel: Nz must be even".into(),
-        ));
-    }
+    check_inputs(geo, projections, &opts.bp)?;
+    let mut acc = BatchAccumulator::full(geo, opts.bp)?;
     let pool = opts.pool();
     let filterer = Filterer::new(geo, opts.filter);
     let mats = geo.projection_matrices();
     let ring: RingBuffer<(usize, TransposedProjection)> = RingBuffer::new(opts.ring_capacity);
-    let batch = opts.bp.batch.clamp(1, WARP_BATCH);
-    let nv = geo.detector.nv;
-    let dims = geo.volume;
 
     // Live telemetry: both stages process Np projections; the ring's
     // occupancy and in-flight stall waits go out through a named probe.
@@ -180,51 +170,21 @@ fn reconstruct_pipelined_impl(
 
         // Back-projection thread role (run on this thread): consume fixed
         // `batch`-sized groups so results are batch-deterministic.
-        let mut acc = Volume::zeros(dims, VolumeLayout::KMajor);
         loop {
-            let mut batch_items: Vec<(usize, TransposedProjection)> = Vec::with_capacity(batch);
-            while batch_items.len() < batch {
-                match ring.pop() {
-                    Some(item) => batch_items.push(item),
-                    None => break,
-                }
-            }
-            if batch_items.is_empty() {
+            let items = ring.pop_batch(opts.bp.batch);
+            if items.is_empty() {
                 break;
             }
-            let batch_mats: Vec<_> = batch_items.iter().map(|(i, _)| mats[*i]).collect();
-            let samplers: Vec<&TransposedProjection> = batch_items.iter().map(|(_, q)| q).collect();
-            // All dispatch routes (tiled/untiled x scalar/strict-lanes)
-            // are bit-identical; the config only changes scheduling and
-            // instruction mix, not arithmetic.
             let started = bp_cell.as_ref().map(|_| clock::now());
-            let part = backproject_batch(
-                &pool,
-                opts.bp.kernel,
-                &batch_mats,
-                &samplers,
-                nv,
-                dims,
-                batch,
-                opts.bp.tile,
-            );
-            acc.accumulate(&part)?;
+            acc.add(&pool, &mats, items.iter().map(|(i, q)| (*i, q)))?;
             if let (Some(cell), Some(started)) = (&bp_cell, started) {
-                cell.record_batch(
-                    batch_items.len() as u64,
-                    started.elapsed().as_nanos() as u64,
-                );
+                cell.record_batch(items.len() as u64, started.elapsed().as_nanos() as u64);
             }
         }
         flt.join().expect("filter thread panicked");
-        Ok(acc)
+        Ok(acc.into_volume())
     })?;
-
-    let mut vol = vol.into_layout(VolumeLayout::IMajor);
-    if opts.apply_scale {
-        vol.scale(fdk_scale(geo));
-    }
-    Ok(vol)
+    Ok(finish_volume(vol, geo, opts.apply_scale))
 }
 
 /// Convenience: forward-project a phantom and reconstruct it, returning

@@ -8,14 +8,12 @@
 //! running volume, so the work left at scan end is at most one partial
 //! batch plus the final reshape.
 
-use ct_bp::lanes::{backproject_batch, KernelImpl};
-use ct_bp::tiled::TileConfig;
-use ct_bp::warp::WARP_BATCH;
-use ct_bp::{fdk_scale, BpConfig};
+use crate::batch::{finish_volume, BatchAccumulator};
+use ct_bp::BpConfig;
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::{CbctGeometry, ProjectionMatrix};
 use ct_core::projection::{ProjectionImage, TransposedProjection};
-use ct_core::volume::{Volume, VolumeLayout};
+use ct_core::volume::Volume;
 use ct_filter::{FilterConfig, Filterer};
 use ct_par::Pool;
 
@@ -26,11 +24,9 @@ pub struct StreamingReconstructor {
     filterer: Filterer,
     pool: Pool,
     batch: usize,
-    tile: Option<TileConfig>,
-    kernel: KernelImpl,
     apply_scale: bool,
     pending: Vec<(usize, TransposedProjection)>,
-    acc: Volume,
+    acc: BatchAccumulator,
     next_index: usize,
 }
 
@@ -44,18 +40,12 @@ impl StreamingReconstructor {
         apply_scale: bool,
     ) -> Result<Self> {
         geo.validate()?;
-        if !geo.volume.nz.is_multiple_of(2) {
-            return Err(CtError::InvalidConfig(
-                "streaming reconstruction uses the symmetric kernel: Nz must be even".into(),
-            ));
-        }
+        bp.validate(geo.volume)?;
         let mats = geo.projection_matrices();
         let filterer = Filterer::new(&geo, filter);
-        let acc = Volume::zeros(geo.volume, VolumeLayout::KMajor);
+        let acc = BatchAccumulator::full(&geo, bp)?;
         Ok(Self {
-            batch: bp.batch.clamp(1, WARP_BATCH),
-            tile: bp.tile,
-            kernel: bp.kernel,
+            batch: bp.batch,
             geo,
             mats,
             filterer,
@@ -105,19 +95,8 @@ impl StreamingReconstructor {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let mats: Vec<ProjectionMatrix> = self.pending.iter().map(|(i, _)| self.mats[*i]).collect();
-        let samplers: Vec<&TransposedProjection> = self.pending.iter().map(|(_, q)| q).collect();
-        let part = backproject_batch(
-            &self.pool,
-            self.kernel,
-            &mats,
-            &samplers,
-            self.geo.detector.nv,
-            self.geo.volume,
-            self.batch,
-            self.tile,
-        );
-        self.acc.accumulate(&part)?;
+        let items = self.pending.iter().map(|(i, q)| (*i, q));
+        self.acc.add(&self.pool, &self.mats, items)?;
         self.pending.clear();
         Ok(())
     }
@@ -132,11 +111,8 @@ impl StreamingReconstructor {
             )));
         }
         self.flush_pending()?;
-        let mut vol = self.acc.into_layout(VolumeLayout::IMajor);
-        if self.apply_scale {
-            vol.scale(fdk_scale(&self.geo));
-        }
-        Ok(vol)
+        let vol = self.acc.into_volume();
+        Ok(finish_volume(vol, &self.geo, self.apply_scale))
     }
 
     /// Snapshot of the partial reconstruction from everything fed so far
@@ -144,11 +120,8 @@ impl StreamingReconstructor {
     /// preview.
     pub fn preview(&mut self) -> Result<Volume> {
         self.flush_pending()?;
-        let mut vol = self.acc.clone().into_layout(VolumeLayout::IMajor);
-        if self.apply_scale {
-            vol.scale(fdk_scale(&self.geo));
-        }
-        Ok(vol)
+        let vol = self.acc.clone().into_volume();
+        Ok(finish_volume(vol, &self.geo, self.apply_scale))
     }
 }
 

@@ -43,7 +43,7 @@
 //! communication traffic, NRMSE vs single-node, overlap efficiency
 //! (when `--analyze`), watchdog trips (when live) — is appended as one
 //! `ifdk-run/v1` record to the `ct-perfdb` trajectory store, keyed by
-//! kernel (`IFDK_KERNEL`), grid shape and problem size, so `perfscope`
+//! kernel, grid shape and problem size, so `perfscope`
 //! can trend distributed runs alongside the bench sweeps.
 
 use ct_core::forward::project_all_analytic;
@@ -231,7 +231,7 @@ fn main() {
             ct_obs::clock::unix_millis(),
             ct_perfdb::MachineInfo::detect(),
         );
-        r.config.kernel = ct_bp::lanes::KernelImpl::from_env().name().to_string();
+        r.config.kernel = ct_bp::lanes::KernelImpl::default().name().to_string();
         r.config.threads = grid.n_ranks() as u64;
         r.config.grid_rows = rows as u64;
         r.config.grid_cols = cols as u64;

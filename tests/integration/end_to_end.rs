@@ -4,10 +4,21 @@
 //! compared against the reference).
 
 use ct_bp::{BpConfig, KernelVariant};
+use ct_core::error::CtError;
 use ct_core::metrics::{nrmse, rmse};
+use ct_core::problem::{Dims2, Dims3};
+use ct_core::projection::ProjectionStack;
 use ct_core::volume::VolumeLayout;
+use ct_core::CbctGeometry;
 use ct_filter::{FilterConfig, RampKind};
-use ifdk::{reconstruct, reconstruct_pipelined, ReconOptions};
+use ct_obs::live::LiveRegistry;
+use ct_par::Pool;
+use ct_pfs::PfsStore;
+use ifdk::distributed::upload_projections;
+use ifdk::{
+    reconstruct, reconstruct_distributed, reconstruct_pipelined, reconstruct_pipelined_live,
+    DistConfig, RankGrid, ReconOptions, StreamingReconstructor,
+};
 use ifdk_integration_tests::{scene, sphere_scene};
 
 #[test]
@@ -199,4 +210,59 @@ fn thread_count_does_not_change_results() {
         0.0,
         "parallelism must be bit-exact"
     );
+}
+
+/// One answer to a bad back-projection config: batch 0, batch 33 and an
+/// odd `Nz` are `Err(InvalidConfig)` from every entry point — no panic
+/// in a kernel, no silent clamp.
+#[test]
+fn bad_bp_config_is_an_error_at_every_entry_point() {
+    let even = CbctGeometry::standard(Dims2::new(16, 16), 4, Dims3::cube(8));
+    let odd = CbctGeometry::standard(Dims2::new(16, 16), 4, Dims3::new(8, 8, 7));
+    for (what, geo, batch) in [
+        ("batch 0", &even, 0),
+        ("batch 33", &even, 33),
+        ("Nz = 7", &odd, 32),
+    ] {
+        let stack = ProjectionStack::zeros(geo.detector, geo.num_projections);
+        let bp = BpConfig {
+            batch,
+            ..BpConfig::default()
+        };
+        let opts = ReconOptions {
+            threads: 1,
+            bp,
+            ..ReconOptions::default()
+        };
+        let store = PfsStore::memory();
+        upload_projections(&store, &stack).unwrap();
+        let mut dist = DistConfig::new(geo.clone(), RankGrid::new(1, 1).unwrap());
+        dist.batch = batch;
+        let filter = FilterConfig::default();
+        let outcomes = [
+            ("reconstruct", reconstruct(geo, &stack, &opts).err()),
+            (
+                "reconstruct_pipelined",
+                reconstruct_pipelined(geo, &stack, &opts).err(),
+            ),
+            (
+                "reconstruct_pipelined_live",
+                reconstruct_pipelined_live(geo, &stack, &opts, &LiveRegistry::new()).err(),
+            ),
+            (
+                "StreamingReconstructor::new",
+                StreamingReconstructor::new(geo.clone(), filter, bp, Pool::serial(), true).err(),
+            ),
+            (
+                "reconstruct_distributed",
+                reconstruct_distributed(&dist, &store, &PfsStore::memory()).err(),
+            ),
+        ];
+        for (entry, err) in outcomes {
+            assert!(
+                matches!(err, Some(CtError::InvalidConfig(_))),
+                "{what}: {entry} gave {err:?}"
+            );
+        }
+    }
 }

@@ -1,17 +1,14 @@
-//! Property tests for the lane-array back-projection kernel
+//! Property tests for the lane-array back-projection sampler
 //! (`ct_bp::lanes`): the per-column weight precomputation must agree
 //! with scalar bilinear sampling for arbitrary coordinates including
-//! the border clamps, and projection-batch blocking must be a pure
-//! scheduling choice — block size 1 bitwise-equal to the unblocked
-//! driver, and every other blocking shape bitwise-equal to that.
+//! the border clamps. (The sampler through the driver, against the
+//! untiled reference loop, is `tiled_bp.rs`.)
 
-use ct_bp::lanes::{backproject_lanes_with, LaneSampler, LanesBlocking};
-use ct_bp::warp::{backproject_warp_with, Sampler, WARP_BATCH};
-use ct_core::geometry::CbctGeometry;
+use ct_bp::lanes::LaneSampler;
+use ct_bp::warp::Sampler;
 use ct_core::interp::{interp2, AxisWeight};
-use ct_core::problem::{Dims2, Dims3};
-use ct_core::projection::{ProjectionImage, ProjectionStack};
-use ct_par::Pool;
+use ct_core::problem::Dims2;
+use ct_core::projection::ProjectionImage;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random pixel fill (splitmix-style) so proptest
@@ -133,70 +130,5 @@ fn lane_column_matches_scalar_on_edge_clamps() {
             *o += 1.25 * q.sample(u, v);
         }
         assert_eq!(bits(&got), bits(&want), "u = {u}");
-    }
-}
-
-fn synthetic_case(n: usize, np: usize, seed: u64) -> (CbctGeometry, ProjectionStack) {
-    let geo = CbctGeometry::standard(Dims2::new(2 * n, 2 * n), np, Dims3::cube(n));
-    let mut stack = ProjectionStack::new(geo.detector);
-    for s in 0..np {
-        stack
-            .push(filled_image(geo.detector, seed ^ (s as u64) << 17))
-            .expect("matching dims");
-    }
-    (geo, stack)
-}
-
-proptest! {
-    // Full back-projections per case: keep the case count modest.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Projection-batch blocking is pure scheduling: block size 1 (with
-    /// a full-width column tile) reproduces the unblocked warp driver
-    /// bitwise, and any other blocking shape reproduces *that* bitwise,
-    /// at any thread count.
-    #[test]
-    fn blocking_block_size_one_equals_unblocked_bitwise(
-        n2 in 4usize..8,
-        np in 4usize..40,
-        seed in any::<u64>(),
-        block_batches in 1usize..5,
-        j_tile in 1usize..20,
-        threads in 1usize..4,
-    ) {
-        let n = 2 * n2;
-        let (geo, stack) = synthetic_case(n, np, seed);
-        let mats = geo.projection_matrices();
-        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-        let samplers: Vec<LaneSampler> = transposed.iter().map(LaneSampler::new).collect();
-        let nv = geo.detector.nv;
-        let pool = Pool::new(threads);
-
-        let unblocked =
-            backproject_warp_with(&pool, &mats, &samplers, nv, geo.volume, WARP_BATCH);
-        let block1 = backproject_lanes_with(
-            &pool,
-            &mats,
-            &samplers,
-            nv,
-            geo.volume,
-            WARP_BATCH,
-            LanesBlocking { block_batches: 1, j_tile: geo.volume.ny },
-        );
-        prop_assert_eq!(bits(block1.data()), bits(unblocked.data()), "block size 1");
-        let blocked = backproject_lanes_with(
-            &pool,
-            &mats,
-            &samplers,
-            nv,
-            geo.volume,
-            WARP_BATCH,
-            LanesBlocking { block_batches, j_tile },
-        );
-        prop_assert_eq!(
-            bits(blocked.data()),
-            bits(unblocked.data()),
-            "block_batches = {block_batches}, j_tile = {j_tile}"
-        );
     }
 }

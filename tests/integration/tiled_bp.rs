@@ -1,17 +1,21 @@
 //! Property-style checks of the tiled, thread-parallel back-projection
-//! driver: on random geometries the tiled kernel must be bit-identical
-//! across pool widths and must agree with the serial standard kernel
+//! driver: on random geometries it must be bit-identical across pool
+//! widths and tile shapes, bit-identical to the untiled reference loop
+//! for both samplers, and must agree with the serial standard kernel
 //! (Algorithm 2) at tight tolerance.
 //!
 //! Uses `rand` with a fixed seed rather than proptest so every run
 //! exercises the same (still randomly shaped) cases deterministically.
 
-use ct_bp::tiled::{backproject_tiled, TileConfig};
-use ct_bp::{backproject_standard, WARP_BATCH};
-use ct_core::geometry::CbctGeometry;
+use ct_bp::lanes::LaneSampler;
+use ct_bp::pair::backproject_pair_with;
+use ct_bp::tiled::{backproject_pair_tiled_reporting, backproject_tiled_with, TileConfig};
+use ct_bp::{backproject_standard, SlabPair, WARP_BATCH};
+use ct_core::geometry::{CbctGeometry, ProjectionMatrix};
 use ct_core::metrics::nrmse;
 use ct_core::problem::{Dims2, Dims3};
 use ct_core::projection::{ProjectionImage, ProjectionStack};
+use ct_core::volume::Volume;
 use ct_par::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,6 +43,78 @@ fn random_case(rng: &mut StdRng) -> (CbctGeometry, ProjectionStack) {
         stack.push(img).unwrap();
     }
     (geo, stack)
+}
+
+/// `L1-Tran` (transposed projections, full batches) through the driver.
+fn backproject_tiled(
+    pool: &Pool,
+    mats: &[ProjectionMatrix],
+    stack: &ProjectionStack,
+    dims: Dims3,
+    cfg: TileConfig,
+) -> Volume {
+    let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
+    let nv = stack.dims().nv;
+    backproject_tiled_with(pool, mats, &transposed, nv, dims, WARP_BATCH, cfg)
+}
+
+/// The "tiling changes scheduling, not arithmetic" contract: for random
+/// geometries and slab pairs away from `k0 = 0`, the driver reproduces
+/// the untiled reference loop bit for bit — every batch size, tile shape
+/// and thread count, for the scalar and the lane sampler.
+#[test]
+fn driver_is_bit_identical_to_the_reference_loop_for_both_samplers() {
+    let mut rng = StdRng::seed_from_u64(0xD21E);
+    for case in 0..4 {
+        let (geo, stack) = random_case(&mut rng);
+        let mats = geo.projection_matrices();
+        let (dims, nv) = (geo.volume, geo.detector.nv);
+        let half = dims.nz / 2;
+        let k0 = 1 + rng.gen::<u64>() as usize % (half - 1);
+        let len = 1 + rng.gen::<u64>() as usize % (half - k0);
+        let pair = SlabPair::new(dims.nz, k0, len).unwrap();
+        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
+        let lanes: Vec<LaneSampler> = transposed.iter().map(LaneSampler::new).collect();
+        let shapes = [
+            TileConfig::AUTO,
+            TileConfig {
+                i_block: dims.nx,
+                slab_pairs: 1,
+            },
+            TileConfig {
+                i_block: 1,
+                slab_pairs: len,
+            },
+        ];
+        for batch in [1usize, 7, WARP_BATCH] {
+            let serial = Pool::new(1);
+            let scalar_ref =
+                backproject_pair_with(&serial, &mats, &transposed, nv, dims, pair, batch);
+            let lanes_ref = backproject_pair_with(&serial, &mats, &lanes, nv, dims, pair, batch);
+            assert_eq!(lanes_ref.data(), scalar_ref.data(), "case {case}: samplers");
+            for cfg in shapes {
+                for threads in [1usize, 2, 3] {
+                    let pool = Pool::new(threads);
+                    let what = format!("case {case}: {pair:?} batch {batch} {cfg:?} x{threads}");
+                    let (scalar, _) = backproject_pair_tiled_reporting(
+                        &pool,
+                        &mats,
+                        &transposed,
+                        nv,
+                        dims,
+                        pair,
+                        batch,
+                        cfg,
+                    );
+                    assert_eq!(scalar.data(), scalar_ref.data(), "{what}: scalar sampler");
+                    let (lane, _) = backproject_pair_tiled_reporting(
+                        &pool, &mats, &lanes, nv, dims, pair, batch, cfg,
+                    );
+                    assert_eq!(lane.data(), lanes_ref.data(), "{what}: lane sampler");
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -111,7 +187,7 @@ fn tiled_bp_handles_degenerate_tile_shapes() {
     }
     // Batch granularity doesn't change the tiled result materially either.
     let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-    let full = ct_bp::tiled::backproject_tiled_with(
+    let full = backproject_tiled_with(
         &Pool::new(2),
         &mats,
         &transposed,
@@ -120,7 +196,7 @@ fn tiled_bp_handles_degenerate_tile_shapes() {
         WARP_BATCH,
         TileConfig::AUTO,
     );
-    let small_batch = ct_bp::tiled::backproject_tiled_with(
+    let small_batch = backproject_tiled_with(
         &Pool::new(2),
         &mats,
         &transposed,
