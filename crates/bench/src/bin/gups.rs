@@ -28,7 +28,9 @@ use ct_core::metrics::gups;
 use ct_core::problem::{Dims2, Dims3, ReconProblem};
 use ct_core::volume::Volume;
 use ct_par::Pool;
-use ifdk_bench::gups::{mad, median, GupsCell, GupsReport, MachineInfo};
+use ct_perfdb::analytics::{mad, median};
+use ct_perfdb::MachineInfo;
+use ifdk_bench::gups::{GupsCell, GupsReport};
 use ifdk_bench::{arg_usize, geometry_for, print_table, synthetic_stack};
 use std::time::Instant;
 
@@ -56,16 +58,16 @@ fn measure<F: FnMut() -> Volume>(
             secs.push(dt);
         }
     }
-    let secs_median = median(&secs);
+    let secs_median = median(&secs).unwrap_or(0.0);
     let rates: Vec<f64> = secs.iter().map(|&s| gups(updates, s)).collect();
-    let gups_median = median(&rates);
+    let gups_median = median(&rates).unwrap_or(0.0);
     GupsCell {
         kernel: kernel.into(),
         layout: layout.into(),
         threads,
         repeats,
         gups_median,
-        gups_mad: mad(&rates, gups_median),
+        gups_mad: mad(&rates).unwrap_or(0.0),
         secs_median,
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! The paper's headline kernel metric is giga-updates per second
 //! (Section 2.3); the `gups` binary sweeps kernel x layout x thread
-//! count and records warmup/repeat/median+MAD statistics here. The JSON
-//! codec is self-contained (hand-written writer, [`ct_obs::chrome::json`]
-//! reader) so the gate binaries work without a serde dependency, and the
-//! `benchdiff` comparison lives here too so it is unit-testable.
+//! count and records warmup/repeat/median+MAD statistics here. Reports
+//! are written through [`ct_obs::jsonw`] and read through
+//! [`ct_obs::chrome::json`] like every other artifact; the `benchdiff`
+//! comparison lives here too so it is unit-testable.
 
-use std::fmt::Write as _;
+use ct_obs::jsonw::{arr, str_lit, Obj};
+use ct_perfdb::MachineInfo;
 
 /// Schema tag stamped into every report, checked on read.
 pub const SCHEMA: &str = "ifdk-bench/gups/v1";
@@ -38,15 +39,6 @@ impl GupsCell {
     }
 }
 
-/// Machine provenance, stamped into the report header so a checked-in
-/// baseline documents what produced it. The probe itself now lives in
-/// `ct-perfdb` (one definition shared by `gups`, `perfscope`,
-/// `benchdiff` and the trajectory records); this re-export keeps the
-/// historical `ifdk_bench::gups::MachineInfo` path working. The field
-/// stays optional in the JSON (schema stays `v1`): old reports parse,
-/// new gates know their hardware.
-pub use ct_perfdb::MachineInfo;
-
 /// A full sweep: one problem, many cells.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GupsReport {
@@ -54,94 +46,46 @@ pub struct GupsReport {
     pub problem: String,
     /// Voxel updates per full back-projection (`Nx*Ny*Nz*Np`).
     pub updates: u128,
-    /// Where the sweep ran (`None` in reports from before the field
-    /// existed).
+    /// Where the sweep ran, so a checked-in baseline documents what
+    /// produced it (`None` in reports from before the field existed;
+    /// the schema stays `v1`).
     pub machine: Option<MachineInfo>,
     /// The measured cells.
     pub cells: Vec<GupsCell>,
 }
 
-/// Median of a sample (empty slices return 0).
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let n = s.len();
-    if n % 2 == 1 {
-        s[n / 2]
-    } else {
-        0.5 * (s[n / 2 - 1] + s[n / 2])
-    }
-}
-
-/// Median absolute deviation about `center`.
-pub fn mad(xs: &[f64], center: f64) -> f64 {
-    let devs: Vec<f64> = xs.iter().map(|x| (x - center).abs()).collect();
-    median(&devs)
-}
-
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn num(x: f64) -> String {
-    // Rust's shortest-roundtrip float formatting is valid JSON for every
-    // finite value; benchmarks never produce non-finite statistics.
-    assert!(x.is_finite(), "non-finite statistic {x}");
-    format!("{x}")
-}
-
 impl GupsReport {
-    /// Serialise to pretty JSON (schema [`SCHEMA`]).
+    /// Serialise to JSON (schema [`SCHEMA`]), one cell per line: the
+    /// checked-in baseline is read by people. Non-finite statistics
+    /// follow [`ct_obs::jsonw::num_f64`] (written as `0`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", esc(SCHEMA));
-        let _ = writeln!(out, "  \"problem\": \"{}\",", esc(&self.problem));
-        let _ = writeln!(out, "  \"updates\": {},", self.updates);
-        if let Some(m) = &self.machine {
-            let flags: Vec<String> = m
-                .cpu_flags
-                .iter()
-                .map(|f| format!("\"{}\"", esc(f)))
-                .collect();
-            let _ = writeln!(
-                out,
-                "  \"machine\": {{ \"cpu_model\": \"{}\", \"cpu_flags\": [{}], \"logical_cpus\": {} }},",
-                esc(&m.cpu_model),
-                flags.join(", "),
-                m.logical_cpus,
-            );
-        }
-        let _ = writeln!(out, "  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{ \"kernel\": \"{}\", \"layout\": \"{}\", \"threads\": {}, \
-                 \"repeats\": {}, \"gups_median\": {}, \"gups_mad\": {}, \
-                 \"secs_median\": {} }}{comma}",
-                esc(&c.kernel),
-                esc(&c.layout),
-                c.threads,
-                c.repeats,
-                num(c.gups_median),
-                num(c.gups_mad),
-                num(c.secs_median),
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        out.push_str("}\n");
-        out
+        let cells: Vec<String> = self
+            .cells
+            .iter()
+            .map(|c| {
+                let mut o = Obj::new();
+                o.field_str("kernel", &c.kernel)
+                    .field_str("layout", &c.layout)
+                    .field_u64("threads", c.threads as u64)
+                    .field_u64("repeats", c.repeats as u64)
+                    .field_f64("gups_median", c.gups_median)
+                    .field_f64("gups_mad", c.gups_mad)
+                    .field_f64("secs_median", c.secs_median);
+                format!("    {}", o.finish())
+            })
+            .collect();
+        let machine = self
+            .machine
+            .as_ref()
+            .map(|m| format!("  \"machine\": {},\n", m.to_json()))
+            .unwrap_or_default();
+        format!(
+            "{{\n  \"schema\": {},\n  \"problem\": {},\n  \"updates\": {},\n{machine}  \"cells\": [\n{}\n  ]\n}}\n",
+            str_lit(SCHEMA),
+            str_lit(&self.problem),
+            self.updates,
+            cells.join(",\n")
+        )
     }
 
     /// Parse a report, validating the schema tag.
@@ -164,23 +108,7 @@ impl GupsReport {
             .get("updates")
             .and_then(Value::as_f64)
             .ok_or("missing updates")? as u128;
-        let machine = v.get("machine").map(|m| MachineInfo {
-            cpu_model: m
-                .get("cpu_model")
-                .and_then(Value::as_str)
-                .unwrap_or("unknown")
-                .to_string(),
-            cpu_flags: m
-                .get("cpu_flags")
-                .and_then(Value::as_array)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(|f| f.as_str().map(str::to_string))
-                        .collect()
-                })
-                .unwrap_or_default(),
-            logical_cpus: m.get("logical_cpus").and_then(Value::as_f64).unwrap_or(0.0) as usize,
-        });
+        let machine = v.get("machine").map(MachineInfo::from_value);
         let cells = v
             .get("cells")
             .and_then(Value::as_array)
@@ -287,25 +215,16 @@ impl CompareReport {
     /// Machine-readable rendering for CI artifacts: the same facts the
     /// text output states, as one JSON object.
     pub fn to_json(&self) -> String {
-        let list = |xs: &[String]| -> String {
-            let items: Vec<String> = xs.iter().map(|x| format!("\"{}\"", esc(x))).collect();
-            format!("[{}]", items.join(", "))
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"ifdk-bench/compare/v1\",");
-        let _ = writeln!(out, "  \"passed\": {},", self.passed());
-        let _ = writeln!(out, "  \"checked\": {},", self.checked);
-        let _ = writeln!(out, "  \"regressions\": {},", list(&self.regressions));
-        let _ = writeln!(out, "  \"missing\": {},", list(&self.missing));
-        let _ = writeln!(out, "  \"improvements\": {},", list(&self.improvements));
-        let _ = writeln!(
-            out,
-            "  \"improvement_failures\": {}",
-            list(&self.improvement_failures)
-        );
-        out.push_str("}\n");
-        out
+        let list = |xs: &[String]| arr(xs.iter().map(|x| str_lit(x)));
+        let mut o = Obj::new();
+        o.field_str("schema", "ifdk-bench/compare/v1")
+            .field_bool("passed", self.passed())
+            .field_u64("checked", self.checked as u64)
+            .field_raw("regressions", &list(&self.regressions))
+            .field_raw("missing", &list(&self.missing))
+            .field_raw("improvements", &list(&self.improvements))
+            .field_raw("improvement_failures", &list(&self.improvement_failures));
+        o.finish()
     }
 }
 
@@ -436,16 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn median_and_mad() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[3.0]), 3.0);
-        assert_eq!(median(&[1.0, 9.0, 5.0]), 5.0);
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-        assert_eq!(mad(&[1.0, 5.0, 9.0], 5.0), 4.0);
-        assert_eq!(mad(&[5.0, 5.0, 5.0], 5.0), 0.0);
-    }
-
-    #[test]
     fn json_roundtrip() {
         let r = report(vec![cell("tiled", 4, 1.25), cell("standard", 1, 0.5)]);
         let parsed = GupsReport::from_json(&r.to_json()).unwrap();
@@ -466,6 +375,20 @@ mod tests {
         let r = report(vec![cell("warp", 1, 1.0)]);
         let broken = r.to_json().replace("\"gups_median\"", "\"zzz\"");
         assert!(GupsReport::from_json(&broken).is_err());
+    }
+
+    #[test]
+    fn non_finite_statistic_still_serialises_and_is_judged() {
+        // A NaN spread must not cost the artifact of a finished sweep.
+        let mut nan = cell("warp", 1, 1.0);
+        nan.gups_mad = f64::NAN;
+        let r = report(vec![nan]);
+        let parsed = GupsReport::from_json(&r.to_json()).expect("report parses back");
+        assert_eq!(parsed.cells[0].gups_mad, 0.0);
+        assert_eq!(parsed.cells[0].gups_median, 1.0);
+        let c = compare(&parsed, &parsed, 0.4);
+        assert!(c.passed());
+        assert_eq!(c.checked, 1);
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 pub fn maybe_write_json(args: &[String], reports: &[RunReport]) {
     if let Some(pos) = args.iter().position(|a| a == "--json") {
         if let Some(path) = args.get(pos + 1) {
-            let json = serde_json::to_string_pretty(reports).expect("reports serialise");
+            let json = ct_obs::jsonw::arr(reports.iter().map(RunReport::to_json));
             std::fs::write(path, json).expect("write json report");
             eprintln!("wrote {} reports to {path}", reports.len());
         }

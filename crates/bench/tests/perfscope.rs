@@ -23,6 +23,13 @@ fn benchdiff(args: &[&str]) -> Output {
         .expect("spawn benchdiff")
 }
 
+fn tracecheck(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tracecheck"))
+        .args(args)
+        .output()
+        .expect("spawn tracecheck")
+}
+
 fn code(out: &Output) -> i32 {
     out.status.code().expect("exit code")
 }
@@ -228,4 +235,21 @@ fn fingerprint_mismatch_warns_but_does_not_fail() {
     );
     let _ = std::fs::remove_file(&base_path);
     let _ = std::fs::remove_file(&cand_path);
+}
+
+#[test]
+fn deeply_nested_input_is_an_exit_code_not_an_abort() {
+    // A file of brackets used to overflow the recursive parser's stack
+    // (SIGABRT, exit 134): outside the 0/1/2/3 contract.
+    let path = tmp("perfscope-e2e-nested.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write fixture");
+    let p = path.to_str().unwrap();
+
+    let out = benchdiff(&[p, p]);
+    assert_eq!(code(&out), 2, "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nesting deeper than 128"));
+
+    let out = tracecheck(&[p]);
+    assert_eq!(code(&out), 1, "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("not a valid trace"));
 }

@@ -20,10 +20,9 @@
 use crate::error::{CtError, Result};
 use crate::math::{Mat3x4, Mat4, Vec3, Vec4};
 use crate::problem::{Dims2, Dims3};
-use serde::{Deserialize, Serialize};
 
 /// Complete CBCT scan geometry — the paper's Table 1 parameter list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CbctGeometry {
     /// Detector dimensions (`Nu`, `Nv`) in pixels.
     pub detector: Dims2,

@@ -3,10 +3,9 @@
 //! to organise Table 4.
 
 use crate::error::{CtError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Dimensions of a 2D image (detector): `nu` columns x `nv` rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dims2 {
     /// Width (number of detector columns, the paper's `Nu`).
     pub nu: usize,
@@ -44,7 +43,7 @@ impl Dims2 {
 }
 
 /// Dimensions of a 3D volume: `nx x ny x nz` voxels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dims3 {
     /// Voxels along X (the paper's `Nx`).
     pub nx: usize,
@@ -87,7 +86,7 @@ impl Dims3 {
 
 /// The paper's image-reconstruction problem
 /// `Nu x Nv x Np -> Nx x Ny x Nz` (Section 2.3, definition I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReconProblem {
     /// Detector dimensions of one projection.
     pub detector: Dims2,

@@ -19,6 +19,7 @@
 //! dependency-free, and the output is deterministic (events are emitted
 //! in the capture's sorted order).
 
+use crate::jsonw::escape_into;
 use crate::recorder::ThreadRole;
 use crate::trace::TraceData;
 use std::fmt::Write as _;
@@ -31,30 +32,6 @@ const ROLES: [ThreadRole; 5] = [
     ThreadRole::Io,
     ThreadRole::Other,
 ];
-
-/// Escape a string for a JSON string literal (quotes not included). The
-/// output is pure ASCII: control characters and every non-ASCII scalar
-/// are written as `\uXXXX` escapes (UTF-16 surrogate pairs for the
-/// astral planes), so the document survives viewers that mishandle raw
-/// UTF-8.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || !c.is_ascii() => {
-                let mut units = [0u16; 2];
-                for unit in c.encode_utf16(&mut units) {
-                    let _ = write!(out, "\\u{unit:04x}");
-                }
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Format nanoseconds as fractional microseconds (the unit `ts`/`dur`
 /// use). Three decimals keep full nanosecond resolution.
@@ -482,12 +459,13 @@ pub fn parse_trace(json: &str) -> Result<TraceData, String> {
     Ok(data)
 }
 
-/// A minimal JSON reader, sufficient to validate trace-event documents.
+/// The workspace's one JSON reader (the writer is [`crate::jsonw`]).
 ///
 /// Deliberately small: objects keep insertion order as `(key, value)`
-/// pairs, numbers are `f64`, and no serialization is offered (the
-/// exporter writes its own JSON). Public so downstream smoke tools can
-/// validate captures without pulling a JSON dependency into this crate.
+/// pairs and numbers are finite `f64`s. Its input arrives from outside
+/// the program (trace files, cached trajectories, gate arguments), so
+/// nesting is capped at [`json::MAX_DEPTH`] and a literal that
+/// overflows `f64` is an error, not `inf`.
 pub mod json {
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -553,6 +531,7 @@ pub mod json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -563,9 +542,15 @@ pub mod json {
         Ok(v)
     }
 
+    /// Deepest array/object nesting [`parse`] accepts. The parser
+    /// recurses once per level, so unbounded depth is a stack overflow —
+    /// an abort no exit-code contract covers.
+    pub const MAX_DEPTH: usize = 128;
+
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -579,12 +564,11 @@ pub mod json {
             }
         }
 
-        fn expect(&mut self, b: u8) -> Result<(), String> {
+        fn eat(&mut self, b: u8) -> Result<(), String> {
             if self.peek() == Some(b) {
                 self.pos += 1;
                 Ok(())
             } else {
-                // analyze: allow(alloc, reason = "cold JSON parse-error path; reachable from the ring hot path only through `.expect` method-name over-approximation (DESIGN 6c)")
                 Err(format!(
                     "expected {:?} at byte {}, found {:?}",
                     b as char,
@@ -596,8 +580,8 @@ pub mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -609,6 +593,23 @@ pub mod json {
                     self.pos
                 )),
             }
+        }
+
+        /// Run a container parser one nesting level down.
+        fn nested(
+            &mut self,
+            container: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} at byte {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let v = container(self);
+            self.depth -= 1;
+            v
         }
 
         fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
@@ -628,15 +629,18 @@ pub mod json {
             ) {
                 self.pos += 1;
             }
+            // `"1e999".parse::<f64>()` is `Ok(inf)`: a non-finite value
+            // would make every later comparison pass or fail vacuously.
             std::str::from_utf8(&self.bytes[start..self.pos])
                 .ok()
                 .and_then(|s| s.parse::<f64>().ok())
+                .filter(|n| n.is_finite())
                 .map(Value::Num)
-                .ok_or_else(|| format!("invalid number at byte {start}"))
+                .ok_or_else(|| format!("invalid or non-finite number at byte {start}"))
         }
 
         fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
+            self.eat(b'"')?;
             let mut out = String::new();
             loop {
                 match self.peek() {
@@ -712,7 +716,7 @@ pub mod json {
         }
 
         fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
+            self.eat(b'[')?;
             let mut items = Vec::new();
             self.skip_ws();
             if self.peek() == Some(b']') {
@@ -735,7 +739,7 @@ pub mod json {
         }
 
         fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
+            self.eat(b'{')?;
             let mut items = Vec::new();
             self.skip_ws();
             if self.peek() == Some(b'}') {
@@ -746,7 +750,7 @@ pub mod json {
                 self.skip_ws();
                 let key = self.string()?;
                 self.skip_ws();
-                self.expect(b':')?;
+                self.eat(b':')?;
                 self.skip_ws();
                 let value = self.value()?;
                 items.push((key, value));
@@ -813,6 +817,33 @@ mod tests {
         assert!(json::parse("[1, 2,]").is_err());
         assert!(json::parse("{\"a\" 1}").is_err());
         assert!(json::parse("123 45").is_err());
+    }
+
+    #[test]
+    fn json_parser_bounds_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        let err = json::parse(&nested(json::MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        // Objects count against the same budget, and an unclosed flood
+        // of brackets is an error, not a stack overflow.
+        let objects = "{\"a\":".repeat(json::MAX_DEPTH + 1);
+        assert!(json::parse(&objects)
+            .expect_err("too deep")
+            .contains("nesting deeper"));
+        assert!(json::parse(&"[".repeat(200_000)).is_err());
+        // Depth is nesting, not container count.
+        assert!(json::parse(&format!("[{}]", vec!["[]"; 1000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn json_parser_rejects_non_finite_numbers() {
+        for text in ["1e999", "-1e999", "[1, 1e400]"] {
+            let err = json::parse(text).expect_err("non-finite literal");
+            assert!(err.contains("non-finite number"), "{text}: {err}");
+        }
+        assert_eq!(json::parse("1e308").unwrap().as_f64(), Some(1e308));
+        assert_eq!(json::parse("1e-999").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! Minimal JSON *writer* shared by the machine-readable exports.
+//! The workspace's one JSON *writer*.
 //!
 //! `ct-obs` is deliberately dependency-free, so the workspace hand-rolls
 //! both directions of its JSON: parsing lives in [`crate::chrome::json`],
-//! and this module is the one serializer. It is used by the live-metrics
-//! frames ([`crate::live::MetricsSnapshot::to_json`]), the analysis
-//! export ([`crate::analysis::PipelineAnalysis::to_json`]) and, through
-//! those, `tracereport --format json` and the `monitor` bench bin.
+//! and this module is the one serializer — and [`escape_into`] the one
+//! string escaper — behind every machine-readable artifact: the Chrome
+//! trace, live-metrics frames, the analysis export, `ct-perfdb` run
+//! records, the `gups`/`benchdiff` reports, experiment `RunReport`s and
+//! `cargo xtask analyze --format json`.
 //!
 //! The builders emit compact one-line JSON with deterministic field
 //! order (fields appear in call order), which is exactly what a JSONL
 //! stream needs. Non-finite floats have no JSON spelling; they are
-//! clamped to `0` so a pathological sample can never corrupt the stream.
+//! clamped to `0` so a pathological sample can never corrupt the stream
+//! (the parser, symmetrically, rejects literals that overflow `f64`).
 //!
 //! ```
 //! use ct_obs::jsonw::Obj;
@@ -33,12 +35,12 @@ pub fn num_f64(v: f64) -> String {
     }
 }
 
-/// Render a string as a JSON string literal, quotes included. The
-/// escaping matches the Chrome exporter: pure-ASCII output, `\uXXXX`
-/// for control characters and non-ASCII scalars.
-pub fn str_lit(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Escape a string for a JSON string literal (quotes not included). The
+/// output is pure ASCII: control characters and every non-ASCII scalar
+/// are written as `\uXXXX` escapes (UTF-16 surrogate pairs for the
+/// astral planes), so the document survives viewers that mishandle raw
+/// UTF-8.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -55,6 +57,13 @@ pub fn str_lit(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+/// Render a string as a JSON string literal, quotes included.
+pub fn str_lit(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    escape_into(&mut out, s);
     out.push('"');
     out
 }

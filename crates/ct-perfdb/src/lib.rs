@@ -20,10 +20,11 @@
 //! is the query front-end; `gups`, `tracereport`, `monitor` and the
 //! distributed example are the producers (`--record <path>`).
 //!
-//! The crate is serde-free by design: records serialize through
-//! [`ct_obs::jsonw`] and parse through `ct_obs::chrome::json`, the same
-//! hand-rolled pair the live-metrics frames use, so the store works in
-//! the zero-registry-dependency substrate.
+//! Records serialize through [`ct_obs::jsonw`] and parse through
+//! `ct_obs::chrome::json` — the one JSON codec of the whole workspace,
+//! which has no serialization dependency anywhere — so the store works
+//! in the zero-registry-dependency substrate, and `xtask` appends its
+//! own records through this crate.
 //!
 //! ```
 //! use ct_perfdb::{MachineInfo, RunConfig, RunRecord};

@@ -6,6 +6,9 @@
 //! and one [`fingerprint`](MachineInfo::fingerprint) definition — the
 //! key the perf trajectory is partitioned by.
 
+use ct_obs::chrome::json::Value;
+use ct_obs::jsonw::{arr, str_lit, Obj};
+
 /// Provenance of the machine a measurement ran on. The fields are
 /// deliberately coarse: the CPU model string, the vector-ISA flags that
 /// change what the autovectorizer can emit, and the logical CPU count.
@@ -60,6 +63,41 @@ impl MachineInfo {
             cpu_model,
             cpu_flags,
             logical_cpus,
+        }
+    }
+
+    /// The `machine` object every artifact carries (`ifdk-run/v1`
+    /// records, `BENCH_gups.json` headers): compact, fields in
+    /// declaration order.
+    pub fn to_json(&self) -> String {
+        let mut o = Obj::new();
+        o.field_str("cpu_model", &self.cpu_model)
+            .field_raw("cpu_flags", &arr(self.cpu_flags.iter().map(|f| str_lit(f))))
+            .field_u64("logical_cpus", self.logical_cpus as u64);
+        o.finish()
+    }
+
+    /// Read a `machine` object back. A missing or mistyped field keeps
+    /// its default, so older and hand-written artifacts still load.
+    pub fn from_value(v: &Value) -> Self {
+        Self {
+            cpu_model: v
+                .get("cpu_model")
+                .and_then(Value::as_str)
+                .unwrap_or_default()
+                .to_string(),
+            cpu_flags: v
+                .get("cpu_flags")
+                .and_then(Value::as_array)
+                .unwrap_or_default()
+                .iter()
+                .filter_map(Value::as_str)
+                .map(str::to_string)
+                .collect(),
+            logical_cpus: v
+                .get("logical_cpus")
+                .and_then(Value::as_f64)
+                .unwrap_or_default() as usize,
         }
     }
 
@@ -135,6 +173,24 @@ mod tests {
         ] {
             assert_ne!(a.fingerprint(), other.fingerprint());
         }
+    }
+
+    #[test]
+    fn json_object_round_trips_and_defaults_missing_fields() {
+        let m = MachineInfo {
+            cpu_model: "Example CPU \"X\" µ".into(),
+            cpu_flags: vec!["avx2".into(), "fma".into()],
+            logical_cpus: 8,
+        };
+        let text = m.to_json();
+        assert_eq!(
+            text,
+            r#"{"cpu_model":"Example CPU \"X\" \u00b5","cpu_flags":["avx2","fma"],"logical_cpus":8}"#
+        );
+        let v = ct_obs::chrome::json::parse(&text).expect("machine object parses");
+        assert_eq!(MachineInfo::from_value(&v), m);
+        let empty = ct_obs::chrome::json::parse("{}").expect("parses");
+        assert_eq!(MachineInfo::from_value(&empty), MachineInfo::default());
     }
 
     #[test]

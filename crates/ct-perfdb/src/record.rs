@@ -97,19 +97,6 @@ impl RunRecord {
     /// field is always emitted so the round trip through
     /// [`from_json`](Self::from_json) is exact.
     pub fn to_json(&self) -> String {
-        let mut machine = Obj::new();
-        machine
-            .field_str("cpu_model", &self.machine.cpu_model)
-            .field_raw(
-                "cpu_flags",
-                &arr(self
-                    .machine
-                    .cpu_flags
-                    .iter()
-                    .map(|f| ct_obs::jsonw::str_lit(f))),
-            )
-            .field_u64("logical_cpus", self.machine.logical_cpus as u64);
-
         let mut config = Obj::new();
         config
             .field_str("kernel", &self.config.kernel)
@@ -131,7 +118,7 @@ impl RunRecord {
             .field_str("source", &self.source)
             .field_u64("t_unix_ms", self.t_unix_ms)
             .field_str("fingerprint", &self.machine.fingerprint())
-            .field_raw("machine", &machine.finish())
+            .field_raw("machine", &self.machine.to_json())
             .field_raw("config", &config.finish())
             .field_raw("metrics", &metrics);
         o.finish()
@@ -161,22 +148,10 @@ impl RunRecord {
                 .and_then(Value::as_f64)
                 .ok_or("run record missing numeric \"t_unix_ms\" field")? as u64;
 
-        let mut machine = MachineInfo::default();
-        if let Some(m) = v.get("machine") {
-            if let Some(model) = m.get("cpu_model").and_then(Value::as_str) {
-                machine.cpu_model = model.to_string();
-            }
-            if let Some(flags) = m.get("cpu_flags").and_then(Value::as_array) {
-                machine.cpu_flags = flags
-                    .iter()
-                    .filter_map(Value::as_str)
-                    .map(str::to_string)
-                    .collect();
-            }
-            if let Some(n) = m.get("logical_cpus").and_then(Value::as_f64) {
-                machine.logical_cpus = n as usize;
-            }
-        }
+        let machine = v
+            .get("machine")
+            .map(MachineInfo::from_value)
+            .unwrap_or_default();
 
         let mut config = RunConfig::default();
         if let Some(c) = v.get("config") {

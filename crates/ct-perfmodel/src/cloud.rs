@@ -7,10 +7,9 @@
 
 use crate::des::{simulate_pipeline, Overheads, PipelineSim};
 use crate::model::ModelInput;
-use serde::{Deserialize, Serialize};
 
 /// Per-instance cloud pricing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloudPricing {
     /// On-demand price per instance-hour (USD).
     pub usd_per_instance_hour: f64,
@@ -33,7 +32,7 @@ impl CloudPricing {
 }
 
 /// A costed reconstruction run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostEstimate {
     /// Instances needed (`n_gpus / gpus_per_instance`).
     pub instances: usize,

@@ -14,10 +14,9 @@
 //! simulating one representative rank suffices.
 
 use crate::model::{ModelBreakdown, ModelInput};
-use serde::{Deserialize, Serialize};
 
 /// Documented overhead factors on top of the analytic model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overheads {
     /// Multiplier on kernel batch time: circular-buffer exchange, batch
     /// assembly, kernel launch (paper Section 5.3.3, first gap item).
@@ -52,7 +51,7 @@ impl Default for Overheads {
 
 /// One contiguous activity of one pipeline thread (for Figure 4c-style
 /// timelines).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadSegment {
     /// Thread name: `"filter"`, `"main"` or `"bp"`.
     pub thread: String,
@@ -65,7 +64,7 @@ pub struct ThreadSegment {
 }
 
 /// A full per-rank timeline.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimelineTrace {
     /// Segments in chronological order per thread.
     pub segments: Vec<ThreadSegment>,
@@ -89,7 +88,7 @@ impl TimelineTrace {
 
 /// Simulation output: per-stage times comparable to both the analytic
 /// model and the paper's measured series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSim {
     /// Busy time of the filter thread (load + filter).
     pub t_flt: f64,

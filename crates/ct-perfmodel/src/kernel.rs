@@ -20,10 +20,8 @@
 //! (Table 4, `L1-Tran` column). The same model explains Table 4's trend
 //! of GUPS falling as volumes get shallow (large `alpha`).
 
-use serde::{Deserialize, Serialize};
-
 /// Cost model of the proposed kernel on one GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelModel {
     /// Per-voxel-column setup time, seconds.
     pub col_setup_s: f64,

@@ -21,10 +21,8 @@
 //!   (`T_AllGather = 31.4 s` for 128 ops x 31 blocks x 16.8 MB ->
 //!   ~2.1 GB/s effective per column ring).
 
-use serde::{Deserialize, Serialize};
-
 /// Constants describing one GPU-accelerated cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// GPUs (and hence MPI ranks) per compute node.
     pub gpus_per_node: usize,

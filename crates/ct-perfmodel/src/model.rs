@@ -3,12 +3,11 @@
 
 use crate::kernel::KernelModel;
 use crate::machine::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 const F32: f64 = 4.0; // sizeof(float), as the paper writes it
 
 /// Everything the model needs to evaluate one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelInput {
     /// Detector width `Nu`.
     pub nu: usize,
@@ -127,7 +126,7 @@ impl ModelInput {
 }
 
 /// Per-stage model times, in seconds (Eqs. 8-19).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelBreakdown {
     /// Eq. 8: reading projections from the PFS.
     pub t_load: f64,
@@ -229,7 +228,7 @@ impl ModelBreakdown {
 }
 
 /// A planned 2D rank grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridPlan {
     /// Rows (`R`): number of slab pairs the output is split into.
     pub r: usize,

@@ -4,11 +4,11 @@
 //! binaries) and the examples emit the same report shape, so
 //! EXPERIMENTS.md rows are generated rather than hand-copied.
 
-use serde::{Deserialize, Serialize};
+use ct_obs::jsonw::{arr, str_lit, Obj};
 use std::collections::BTreeMap;
 
 /// One measured (or modelled) experiment datapoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Which experiment this belongs to (e.g. `"table4"`, `"fig5a"`).
     pub experiment: String,
@@ -51,6 +51,21 @@ impl RunReport {
         self.values.get(key).copied()
     }
 
+    /// One compact JSON object: `experiment`, `label`, `values` (an
+    /// object, keys sorted) and `notes`.
+    pub fn to_json(&self) -> String {
+        let mut values = Obj::new();
+        for (key, value) in &self.values {
+            values.field_f64(key, *value);
+        }
+        let mut o = Obj::new();
+        o.field_str("experiment", &self.experiment)
+            .field_str("label", &self.label)
+            .field_raw("values", &values.finish())
+            .field_raw("notes", &arr(self.notes.iter().map(|n| str_lit(n))));
+        o.finish()
+    }
+
     /// Absorb an observation capture's per-stage aggregates as named
     /// values: for each stage, `{prefix}{stage}.total_secs` (busiest
     /// rank), `.count`, `.max_secs` and `.bytes` (when nonzero), plus
@@ -80,6 +95,41 @@ mod tests {
         assert_eq!(r.notes.len(), 1);
         r.set("gups", 190.0);
         assert_eq!(r.get("gups"), Some(190.0));
+    }
+
+    #[test]
+    fn json_escapes_strings_and_sorts_values() {
+        let mut r = RunReport::new("table4", "a \"quoted\"\nlabel é")
+            .with("seconds", 0.35)
+            .with("gups", 188.6);
+        r.note("scaled 8x");
+        let text = r.to_json();
+        assert!(text.is_ascii(), "{text}");
+        let v = ct_obs::chrome::json::parse(&text).expect("report parses");
+        let keys: Vec<&str> = v
+            .as_object()
+            .expect("an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["experiment", "label", "values", "notes"]);
+        assert_eq!(
+            v.get("label").and_then(|l| l.as_str()),
+            Some(r.label.as_str())
+        );
+        let values = v.get("values").and_then(|x| x.as_object()).expect("values");
+        assert_eq!(values[0].0, "gups");
+        assert_eq!(
+            values[1],
+            (
+                "seconds".to_string(),
+                ct_obs::chrome::json::Value::Num(0.35)
+            )
+        );
+        assert_eq!(
+            v.get("notes").and_then(|n| n.as_array()).map(|n| n.len()),
+            Some(1)
+        );
     }
 
     #[test]

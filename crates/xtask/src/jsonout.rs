@@ -1,9 +1,6 @@
-//! Hand-rolled JSON for `cargo xtask analyze --format json`.
-//!
-//! Same zero-dependency idiom as `ct_obs::jsonw` (xtask is a standalone
-//! workspace and depends on nothing, so it carries its own copy): the
-//! schema is small and versioned, and the writer emits fields in call
-//! order with ASCII-only string escaping.
+//! The `cargo xtask analyze --format json` document, built with
+//! `ct_obs::jsonw`: the schema is small and versioned, fields appear in
+//! call order, strings are escaped to pure ASCII.
 //!
 //! Document shape, schema `ifdk-analyze/v2` (v1 plus per-pass stats and
 //! the elidable checked-gather report from the interval analysis):
@@ -35,161 +32,67 @@
 
 use crate::passes::{AnalyzeReport, Gather, PassReport};
 use crate::rules::Violation;
-use std::fmt::Write as _;
+use ct_obs::jsonw::{arr, Obj};
+use std::path::Path;
 
 pub const SCHEMA: &str = "ifdk-analyze/v2";
 
 /// Render a finished analyze run.
 pub fn findings_doc(what: &str, report: &AnalyzeReport) -> String {
-    let mut out = String::new();
-    out.push('{');
-    let _ = write!(
-        out,
-        "{}:{},{}:{},{}:{},{}:{},{}:[",
-        str_lit("schema"),
-        str_lit(SCHEMA),
-        str_lit("subcommand"),
-        str_lit(what),
-        str_lit("clean"),
-        report.violations.is_empty(),
-        str_lit("count"),
-        report.violations.len(),
-        str_lit("findings"),
-    );
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_finding(&mut out, v);
-    }
-    let _ = write!(out, "],{}:[", str_lit("passes"));
-    for (i, p) in report.passes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_pass(&mut out, p);
-    }
-    let _ = write!(
-        out,
-        "],{}:{},{}:[",
-        str_lit("elidable_gathers"),
-        report.gathers.len(),
-        str_lit("gathers"),
-    );
-    for (i, g) in report.gathers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_gather(&mut out, g);
-    }
-    out.push_str("]}");
-    out.push('\n');
-    out
+    let mut o = Obj::new();
+    o.field_str("schema", SCHEMA)
+        .field_str("subcommand", what)
+        .field_bool("clean", report.violations.is_empty())
+        .field_u64("count", report.violations.len() as u64)
+        .field_raw("findings", &arr(report.violations.iter().map(finding)))
+        .field_raw("passes", &arr(report.passes.iter().map(pass)))
+        .field_u64("elidable_gathers", report.gathers.len() as u64)
+        .field_raw("gathers", &arr(report.gathers.iter().map(gather)));
+    o.finish() + "\n"
 }
 
-fn write_finding(out: &mut String, v: &Violation) {
-    let _ = write!(
-        out,
-        "{{{}:{},{}:{},{}:{},{}:{}}}",
-        str_lit("path"),
-        str_lit(&v.path.to_string_lossy().replace('\\', "/")),
-        str_lit("line"),
-        v.line,
-        str_lit("rule"),
-        str_lit(v.rule),
-        str_lit("message"),
-        str_lit(&v.msg),
-    );
+fn slashed(path: &Path) -> String {
+    path.to_string_lossy().replace('\\', "/")
 }
 
-fn write_pass(out: &mut String, p: &PassReport) {
-    let _ = write!(
-        out,
-        "{{{}:{},{}:{},{}:{},{}:[",
-        str_lit("name"),
-        str_lit(p.name),
-        str_lit("findings"),
-        p.findings,
-        str_lit("wall_ms"),
-        num_f64(p.wall_ms),
-        str_lit("stats"),
-    );
-    for (i, (name, value)) in p.stats.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{{}:{},{}:{}}}",
-            str_lit("name"),
-            str_lit(name),
-            str_lit("value"),
-            value,
-        );
-    }
-    out.push_str("]}");
+fn finding(v: &Violation) -> String {
+    let mut o = Obj::new();
+    o.field_str("path", &slashed(&v.path))
+        .field_u64("line", v.line as u64)
+        .field_str("rule", v.rule)
+        .field_str("message", &v.msg);
+    o.finish()
 }
 
-fn write_gather(out: &mut String, g: &Gather) {
-    let _ = write!(
-        out,
-        "{{{}:{},{}:{},{}:{},{}:{},{}:{}}}",
-        str_lit("path"),
-        str_lit(&g.path.to_string_lossy().replace('\\', "/")),
-        str_lit("line"),
-        g.line,
-        str_lit("fn"),
-        str_lit(&g.qual),
-        str_lit("what"),
-        str_lit(&g.what),
-        str_lit("loop_depth"),
-        g.depth,
-    );
+fn pass(p: &PassReport) -> String {
+    let stats = arr(p.stats.iter().map(|(name, value)| {
+        let mut o = Obj::new();
+        o.field_str("name", name).field_u64("value", *value);
+        o.finish()
+    }));
+    let mut o = Obj::new();
+    o.field_str("name", p.name)
+        .field_u64("findings", p.findings as u64)
+        .field_f64("wall_ms", p.wall_ms)
+        .field_raw("stats", &stats);
+    o.finish()
+}
+
+fn gather(g: &Gather) -> String {
+    let mut o = Obj::new();
+    o.field_str("path", &slashed(&g.path))
+        .field_u64("line", g.line as u64)
+        .field_str("fn", &g.qual)
+        .field_str("what", &g.what)
+        .field_u64("loop_depth", g.depth as u64);
+    o.finish()
 }
 
 /// Render a usage / internal error (the exit-3 path).
 pub fn error_doc(message: &str) -> String {
-    format!(
-        "{{{}:{},{}:{}}}\n",
-        str_lit("schema"),
-        str_lit(SCHEMA),
-        str_lit("error"),
-        str_lit(message),
-    )
-}
-
-/// JSON number, non-finite clamped to 0 (ct_obs::jsonw semantics).
-fn num_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// JSON string literal: quotes, backslashes and control bytes escaped,
-/// non-ASCII as `\uXXXX` so consumers never see raw multibyte output.
-pub(crate) fn str_lit(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || (c as u32) > 0x7e => {
-                let mut buf = [0u16; 2];
-                for unit in c.encode_utf16(&mut buf) {
-                    let _ = write!(out, "\\u{:04x}", unit);
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let mut o = Obj::new();
+    o.field_str("schema", SCHEMA).field_str("error", message);
+    o.finish() + "\n"
 }
 
 #[cfg(test)]

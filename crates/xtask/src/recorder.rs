@@ -2,303 +2,112 @@
 //! trajectory.
 //!
 //! The analyzer is on the CI critical path, so its cost is a tracked
-//! metric like any kernel: each run appends one `ifdk-run/v1` JSONL
-//! record (the `ct-perfdb` schema) with per-pass wall-milliseconds and
-//! totals, keyed by the same machine fingerprint the benchmark
-//! trajectory uses. xtask is a standalone zero-dependency workspace, so
-//! this is a byte-compatible replica of `ct_perfdb::{machine,record}`
-//! serialization rather than an import — the fingerprint definition and
-//! field order are part of the cross-tool contract and are locked by
-//! tests on both sides.
+//! metric like any kernel: each run appends one `ifdk-run/v1` record —
+//! a `ct_perfdb::RunRecord`, the same type, machine probe and
+//! fingerprint every other producer uses — with per-pass
+//! wall-milliseconds and totals.
 
-use crate::jsonout::str_lit;
 use crate::passes::PassReport;
-use std::fmt::Write as _;
+use ct_perfdb::{MachineInfo, PerfDb, RunRecord};
 use std::path::Path;
 
-pub const RUN_SCHEMA: &str = "ifdk-run/v1";
-
-/// SIMD-relevant ISA flags, in `ct_perfdb::MachineInfo` order.
-const INTERESTING_FLAGS: [&str; 8] = [
-    "sse4_1", "sse4_2", "avx", "avx2", "fma", "avx512f", "avx512vl", "neon",
-];
-
-pub struct Machine {
-    pub cpu_model: String,
-    pub cpu_flags: Vec<String>,
-    pub logical_cpus: usize,
-}
-
-impl Machine {
-    pub fn detect() -> Self {
-        let logical_cpus = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-        let field = |name: &str| -> Option<String> {
-            cpuinfo.lines().find_map(|l| {
-                let (k, v) = l.split_once(':')?;
-                (k.trim() == name).then(|| v.trim().to_string())
-            })
-        };
-        let cpu_model = field("model name")
-            .or_else(|| field("Processor"))
-            .unwrap_or_else(|| "unknown".to_string());
-        let cpu_flags = field("flags")
-            .or_else(|| field("Features"))
-            .map(|f| {
-                let have: Vec<&str> = f.split_whitespace().collect();
-                INTERESTING_FLAGS
-                    .iter()
-                    .filter(|want| have.contains(want))
-                    .map(|s| s.to_string())
-                    .collect()
-            })
-            .unwrap_or_default();
-        Self {
-            cpu_model,
-            cpu_flags,
-            logical_cpus,
-        }
-    }
-
-    /// FNV-1a fingerprint, byte-identical to
-    /// `ct_perfdb::MachineInfo::fingerprint`.
-    pub fn fingerprint(&self) -> String {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.cpu_model.as_bytes());
-        eat(&[0x1f]);
-        let mut flags: Vec<&str> = self.cpu_flags.iter().map(String::as_str).collect();
-        flags.sort_unstable();
-        for f in flags {
-            eat(f.as_bytes());
-            eat(&[0x1e]);
-        }
-        eat(&[0x1f]);
-        eat(&self.logical_cpus.to_le_bytes());
-        format!("{h:016x}")
-    }
-}
-
-/// JSON number with `ct_obs::jsonw::num_f64` semantics (non-finite
-/// clamps to 0).
-fn num_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// One `ifdk-run/v1` line for this analyzer run: per-pass wall time as
-/// `pass.<name>.wall_ms`, total wall time and total findings. Metric
-/// names are pre-sorted to match the BTreeMap order `ct-perfdb` writes.
-pub fn run_record(machine: &Machine, t_unix_ms: u64, reports: &[PassReport]) -> String {
-    let mut metrics: Vec<(String, f64)> = reports
-        .iter()
-        .map(|r| (format!("pass.{}.wall_ms", r.name), r.wall_ms))
-        .collect();
-    metrics.push((
-        "analyze.findings".to_string(),
-        reports.iter().map(|r| r.findings as f64).sum(),
-    ));
-    metrics.push((
-        "analyze.total_wall_ms".to_string(),
-        reports.iter().map(|r| r.wall_ms).sum(),
-    ));
-    metrics.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{{}:{},{}:{},{}:{},{}:{}",
-        str_lit("schema"),
-        str_lit(RUN_SCHEMA),
-        str_lit("source"),
-        str_lit("xtask-analyze"),
-        str_lit("t_unix_ms"),
-        t_unix_ms,
-        str_lit("fingerprint"),
-        str_lit(&machine.fingerprint()),
-    );
-    let _ = write!(
-        out,
-        ",{}:{{{}:{},{}:[",
-        str_lit("machine"),
-        str_lit("cpu_model"),
-        str_lit(&machine.cpu_model),
-        str_lit("cpu_flags"),
-    );
-    for (i, f) in machine.cpu_flags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&str_lit(f));
-    }
-    let _ = write!(
-        out,
-        "],{}:{}}}",
-        str_lit("logical_cpus"),
-        machine.logical_cpus,
-    );
+/// The record for this analyzer run: per-pass wall time as
+/// `pass.<name>.wall_ms`, total wall time and total findings.
+pub fn run_record(machine: MachineInfo, t_unix_ms: u64, reports: &[PassReport]) -> RunRecord {
+    let mut r = RunRecord::new("xtask-analyze", t_unix_ms, machine);
     // The config section carries the analyzer's shape in the fields the
     // schema has: `threads` = worker count (one per pass).
-    let _ = write!(
-        out,
-        ",{}:{{{}:{},{}:{},{}:{},{}:0,{}:0,{}:{},{}:{}}}",
-        str_lit("config"),
-        str_lit("kernel"),
-        str_lit("analyze"),
-        str_lit("layout"),
-        str_lit(""),
-        str_lit("threads"),
-        reports.len(),
-        str_lit("grid_rows"),
-        str_lit("grid_cols"),
-        str_lit("tile"),
-        str_lit(""),
-        str_lit("problem"),
-        str_lit(""),
-    );
-    let _ = write!(out, ",{}:[", str_lit("metrics"));
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{{}:{},{}:{}}}",
-            str_lit("name"),
-            str_lit(name),
-            str_lit("value"),
-            num_f64(*value),
-        );
+    r.config.kernel = "analyze".to_string();
+    r.config.threads = reports.len() as u64;
+    for p in reports {
+        r.set_metric(&format!("pass.{}.wall_ms", p.name), p.wall_ms);
     }
-    out.push_str("]}");
-    out
+    r.set_metric(
+        "analyze.findings",
+        reports.iter().map(|p| p.findings as f64).sum(),
+    );
+    r.set_metric(
+        "analyze.total_wall_ms",
+        reports.iter().map(|p| p.wall_ms).sum(),
+    );
+    r
 }
 
 /// Append one record line to `path`, creating the file if needed.
 pub fn append(path: &Path, reports: &[PassReport]) -> Result<(), String> {
-    let machine = Machine::detect();
-    // Provenance timestamp; xtask is standalone and cannot use ct_obs.
-    // lint: allow(raw-clock)
-    let t_unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    let line = run_record(&machine, t_unix_ms, reports);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("create {}: {e}", parent.display()))?;
-        }
-    }
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("open {}: {e}", path.display()))?;
-    writeln!(f, "{line}").map_err(|e| format!("write {}: {e}", path.display()))
+    let record = run_record(MachineInfo::detect(), ct_obs::clock::unix_millis(), reports);
+    PerfDb::append(path, &[record]).map_err(|e| format!("append {}: {e}", path.display()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn fingerprint_matches_the_perfdb_definition() {
-        // Locked against ct_perfdb::MachineInfo::fingerprint for the
-        // same inputs — both sides test the shared contract.
-        let m = Machine {
-            cpu_model: "Example CPU".into(),
+    fn machine() -> MachineInfo {
+        MachineInfo {
+            cpu_model: "Example \"CPU\" @ 3.00GHz µ".into(),
             cpu_flags: vec!["avx2".into(), "fma".into()],
-            logical_cpus: 8,
-        };
-        let reordered = Machine {
-            cpu_model: "Example CPU".into(),
-            cpu_flags: vec!["fma".into(), "avx2".into()],
-            logical_cpus: 8,
-        };
-        assert_eq!(m.fingerprint(), reordered.fingerprint());
-        assert_eq!(m.fingerprint().len(), 16);
-        let other = Machine {
-            cpu_model: "Other CPU".into(),
-            cpu_flags: vec!["avx2".into(), "fma".into()],
-            logical_cpus: 8,
-        };
-        assert_ne!(m.fingerprint(), other.fingerprint());
-    }
-
-    #[test]
-    fn record_has_schema_source_and_sorted_metrics() {
-        let m = Machine {
-            cpu_model: "Example CPU".into(),
-            cpu_flags: vec!["avx2".into()],
             logical_cpus: 4,
-        };
-        let reports = vec![
-            PassReport {
-                name: "panic-reachable",
-                findings: 2,
-                wall_ms: 1.5,
-                stats: Vec::new(),
-            },
-            PassReport {
-                name: "index-bounds",
-                findings: 0,
-                wall_ms: 2.25,
-                stats: Vec::new(),
-            },
-        ];
-        let line = run_record(&m, 123, &reports);
-        assert!(line.starts_with("{\"schema\":\"ifdk-run/v1\""), "{line}");
-        assert!(line.contains("\"source\":\"xtask-analyze\""), "{line}");
-        assert!(line.contains("\"t_unix_ms\":123"), "{line}");
-        assert!(
-            line.contains("{\"name\":\"pass.index-bounds.wall_ms\",\"value\":2.25}"),
-            "{line}"
-        );
-        assert!(
-            line.contains("\"analyze.findings\"") && line.contains("\"value\":2"),
-            "{line}"
-        );
-        // Metrics are name-sorted: analyze.* precede pass.*.
-        let a = line.find("analyze.total_wall_ms").expect("total present");
-        let p = line.find("pass.panic-reachable").expect("pass present");
-        assert!(a < p, "{line}");
-        // Fingerprint field matches the machine.
-        assert!(line.contains(&m.fingerprint()), "{line}");
+        }
+    }
+
+    fn pass(name: &'static str, findings: usize, wall_ms: f64) -> PassReport {
+        PassReport {
+            name,
+            findings,
+            wall_ms,
+            stats: Vec::new(),
+        }
     }
 
     #[test]
-    fn append_creates_and_appends_jsonl() {
+    fn record_line_is_the_perfdb_line_with_sorted_metrics() {
+        let reports = [
+            pass("panic-reachable", 2, 1.5),
+            pass("index-bounds", 0, 2.25),
+            pass("layering", 1, 0.125),
+        ];
+        let line = run_record(machine(), 1_754_600_000_123, &reports).to_json();
+        // The bytes the hand-written replica emitted before xtask used
+        // `ct_perfdb` (captured from that commit): metrics name-sorted,
+        // analyze.* before pass.*.
+        assert_eq!(
+            line,
+            "{\"schema\":\"ifdk-run/v1\",\"source\":\"xtask-analyze\",\
+             \"t_unix_ms\":1754600000123,\"fingerprint\":\"b27e7cbae68b2755\",\
+             \"machine\":{\"cpu_model\":\"Example \\\"CPU\\\" @ 3.00GHz \\u00b5\",\
+             \"cpu_flags\":[\"avx2\",\"fma\"],\"logical_cpus\":4},\
+             \"config\":{\"kernel\":\"analyze\",\"layout\":\"\",\"threads\":3,\
+             \"grid_rows\":0,\"grid_cols\":0,\"tile\":\"\",\"problem\":\"\"},\
+             \"metrics\":[{\"name\":\"analyze.findings\",\"value\":3},\
+             {\"name\":\"analyze.total_wall_ms\",\"value\":3.875},\
+             {\"name\":\"pass.index-bounds.wall_ms\",\"value\":2.25},\
+             {\"name\":\"pass.layering.wall_ms\",\"value\":0.125},\
+             {\"name\":\"pass.panic-reachable.wall_ms\",\"value\":1.5}]}"
+        );
+        let parsed = RunRecord::from_json(&line).expect("perfdb reads its own line");
+        assert_eq!(parsed.to_json(), line);
+    }
+
+    #[test]
+    fn append_creates_a_store_perfdb_loads() {
         let dir = std::env::temp_dir().join("xtask-recorder-fixture");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("perf/analyze.jsonl");
-        let reports = vec![PassReport {
-            name: "layering",
-            findings: 0,
-            wall_ms: 0.5,
-            stats: Vec::new(),
-        }];
+        let reports = [pass("layering", 0, 0.5)];
         append(&path, &reports).expect("first append");
         append(&path, &reports).expect("second append");
         let text = std::fs::read_to_string(&path).expect("file exists");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        for l in lines {
-            assert!(l.starts_with("{\"schema\":\"ifdk-run/v1\""), "{l}");
-            assert!(l.ends_with('}'), "{l}");
+        for line in text.lines() {
+            let parsed = RunRecord::from_json(line).expect("appended line parses");
+            assert_eq!(parsed.to_json(), line);
+        }
+        let db = PerfDb::load(&path).expect("store loads");
+        assert_eq!(db.records.len(), 2, "{text}");
+        for r in &db.records {
+            assert_eq!(r.source, "xtask-analyze");
+            assert_eq!(r.metric("pass.layering.wall_ms"), Some(0.5));
+            assert_eq!(r.fingerprint(), MachineInfo::detect().fingerprint());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
