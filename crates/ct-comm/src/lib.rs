@@ -11,7 +11,9 @@
 //! `(communicator, source, tag)`, and the collectives are the *real
 //! algorithms* (ring AllGather, binomial-tree Reduce/Bcast, dissemination
 //! barrier), so message counts and traffic volumes match what an MPI
-//! implementation would put on the wire.
+//! implementation would put on the wire. Each collective has exactly one
+//! algorithm — the one an iFDK run issues — and no selector: a traffic
+//! count is a function of the communicator size and the payload alone.
 //!
 //! ```
 //! use ct_comm::Universe;
@@ -27,12 +29,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod algorithms;
 pub mod collectives;
 pub mod fabric;
 pub mod stats;
-
-pub use algorithms::{AllGatherAlgorithm, ReduceAlgorithm};
 
 use fabric::{Fabric, RecvError};
 use stats::TrafficStats;

@@ -43,6 +43,11 @@ impl BatchAccumulator {
         Ok(Self::new(geo, SlabPair::full(geo.volume.nz)?, bp))
     }
 
+    /// The configured batch size: the projections one [`Self::add`] takes.
+    pub(crate) fn batch(&self) -> usize {
+        self.bp.batch
+    }
+
     /// Back-project one batch — `(projection index, filtered transposed
     /// projection)` in stream order, `mats` indexed by projection — and
     /// accumulate it. Returns the driver's tile reports for the caller's

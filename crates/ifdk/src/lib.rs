@@ -25,19 +25,25 @@
 //!
 //! ## Crate map
 //!
-//! * [`reconstruct`] / [`reconstruct_pipelined`] — single-node FDK
+//! * [`reconstruct`] — single-node FDK, the two stages back to back
 //!   (filtering on a [`ct_par::Pool`], back-projection with the paper's
-//!   proposed kernel; the pipelined variant overlaps the two stages
-//!   through a circular buffer exactly like one iFDK rank does).
+//!   proposed kernel): the sequential reference and the Table 3 door.
+//! * [`reconstruct_pipelined`] / [`reconstruct_pipelined_live`] — the two
+//!   stages overlapped through a circular buffer like one iFDK rank does;
+//!   `_live` runs it on a recorder mirrored into a `LiveRegistry`.
 //! * [`grid`] — the 2D rank-grid decomposition (paper Section 4.1.1).
 //! * [`RingBuffer`] — the bounded circular buffers connecting pipeline
 //!   threads (Section 4.1.3, Figure 4a), from [`ct_sync::ring`].
 //! * [`distributed`] — the full framework: per-rank
-//!   Filter/Main/Back-projection threads, per-projection AllGather within
-//!   columns, one Reduce per row, PFS in/out (Sections 4.1.1-4.1.4). The
-//!   whole path is instrumented through `ct_obs` ([`DistConfig`] carries
-//!   the recorder); [`model_divergence`] compares a measured run against
-//!   the paper's analytic model (Eqs. 8-19).
+//!   Filter/Main/Back-projection threads, per-projection ring AllGather
+//!   within columns, one Reduce per row, PFS in/out (Sections
+//!   4.1.1-4.1.4). The whole path is instrumented through `ct_obs`
+//!   ([`DistConfig`] carries the recorder); [`model_divergence`] compares
+//!   a measured run against the paper's analytic model (Eqs. 8-19).
+//! * `pipeline` (private) — one function per stage (filter → gather →
+//!   back-project → reduce/store); the pipelined, live and distributed
+//!   entry points compose them. Grid planning (Section 4.1.5) is
+//!   `ct_perfmodel::plan_grid`.
 //! * [`report`] — machine-readable run reports shared by the examples,
 //!   benchmarks and EXPERIMENTS.md; `RunReport::fold_observations`
 //!   absorbs a `ct_obs` capture's per-stage aggregates.
@@ -48,7 +54,7 @@
 mod batch;
 pub mod distributed;
 pub mod grid;
-pub mod plan;
+mod pipeline;
 pub mod report;
 pub mod single;
 pub mod streaming;
@@ -58,6 +64,5 @@ pub use distributed::{
     model_divergence, reconstruct_distributed, DistConfig, DistReport, LiveConfig,
 };
 pub use grid::RankGrid;
-pub use plan::{plan_rank_grid, GridChoice};
 pub use single::{reconstruct, reconstruct_pipelined, reconstruct_pipelined_live, ReconOptions};
 pub use streaming::StreamingReconstructor;

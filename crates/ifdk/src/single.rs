@@ -7,16 +7,17 @@
 //! paper's Section 3.1 heterogeneity argument in miniature: the filter
 //! latency hides behind the much heavier back-projection.
 
-use crate::batch::{finish_volume, BatchAccumulator};
+use crate::batch::finish_volume;
+use crate::pipeline::{self, Filtered};
 use ct_bp::warp::WARP_BATCH;
 use ct_bp::{backproject, BpConfig};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::CbctGeometry;
-use ct_core::projection::{ProjectionStack, TransposedProjection};
-use ct_core::volume::{Volume, VolumeLayout};
+use ct_core::projection::ProjectionStack;
+use ct_core::volume::Volume;
 use ct_filter::{FilterConfig, Filterer};
-use ct_obs::clock;
 use ct_obs::live::LiveRegistry;
+use ct_obs::{Recorder, Track};
 use ct_par::Pool;
 use ct_sync::ring::RingBuffer;
 
@@ -60,8 +61,7 @@ impl ReconOptions {
 }
 
 fn check_inputs(geo: &CbctGeometry, projections: &ProjectionStack, bp: &BpConfig) -> Result<()> {
-    geo.validate()?;
-    bp.validate(geo.volume)?;
+    pipeline::validate(geo, bp)?;
     if projections.dims() != geo.detector {
         return Err(CtError::ShapeMismatch {
             expected: format!("{}x{}", geo.detector.nu, geo.detector.nv),
@@ -104,103 +104,47 @@ pub fn reconstruct_pipelined(
     projections: &ProjectionStack,
     opts: &ReconOptions,
 ) -> Result<Volume> {
-    reconstruct_pipelined_impl(geo, projections, opts, None)
+    check_inputs(geo, projections, &opts.bp)?;
+    let ring = RingBuffer::new(opts.ring_capacity);
+    pipelined(geo, projections, opts, &Recorder::off(), &ring)
 }
 
-/// [`reconstruct_pipelined`] with live telemetry: per-stage completion
-/// counters (`filter`, `backprojection`, both planned at `Np`
-/// projections) land in `live`, and the circular buffer registers a
-/// `ring.single` probe so a sampler ([`ct_obs::live::LiveSession`]) can
-/// watch occupancy, in-flight stalls and progress/ETA while the
-/// reconstruction runs. Identical output to the plain call.
+/// [`reconstruct_pipelined`] on a recorder that mirrors its spans into
+/// `live`: per-stage completion counters in the distributed run's units
+/// (`filter` planned at `Np` spans, `backprojection` at `ceil(Np / batch)`
+/// batch spans) and a `ring.single` probe, so a sampler
+/// ([`ct_obs::live::LiveSession`]) can watch occupancy, in-flight stalls
+/// and progress/ETA while it runs. Identical output to the plain call.
 pub fn reconstruct_pipelined_live(
     geo: &CbctGeometry,
     projections: &ProjectionStack,
     opts: &ReconOptions,
     live: &LiveRegistry,
 ) -> Result<Volume> {
-    reconstruct_pipelined_impl(geo, projections, opts, Some(live))
+    check_inputs(geo, projections, &opts.bp)?;
+    let np = projections.len() as u64;
+    live.plan_stage("filter", np, None);
+    live.plan_stage("backprojection", np.div_ceil(opts.bp.batch as u64), None);
+    let ring = RingBuffer::new(opts.ring_capacity);
+    live.watch_ring(ring.live_probe("ring.single"));
+    let obs = Recorder::summary();
+    obs.attach_live(live);
+    pipelined(geo, projections, opts, &obs, &ring)
 }
 
-fn reconstruct_pipelined_impl(
+/// The single-node composition over the in-memory stack; the tracks of
+/// `obs` decide what, if anything, is recorded.
+fn pipelined(
     geo: &CbctGeometry,
     projections: &ProjectionStack,
     opts: &ReconOptions,
-    live: Option<&LiveRegistry>,
+    obs: &Recorder,
+    ring: &RingBuffer<Filtered>,
 ) -> Result<Volume> {
-    check_inputs(geo, projections, &opts.bp)?;
-    let mut acc = BatchAccumulator::full(geo, opts.bp)?;
     let pool = opts.pool();
-    let filterer = Filterer::new(geo, opts.filter);
-    let mats = geo.projection_matrices();
-    let ring: RingBuffer<(usize, TransposedProjection)> = RingBuffer::new(opts.ring_capacity);
-
-    // Live telemetry: both stages process Np projections; the ring's
-    // occupancy and in-flight stall waits go out through a named probe.
-    if let Some(reg) = live {
-        let np = projections.len() as u64;
-        reg.plan_stage("filter", np, None);
-        reg.plan_stage("backprojection", np, None);
-        reg.watch_ring(ring.live_probe("ring.single"));
-    }
-    let filter_cell = live.map(|r| r.stage("filter"));
-    let bp_cell = live.map(|r| r.stage("backprojection"));
-
-    let vol = std::thread::scope(|s| -> Result<Volume> {
-        // Filtering thread: filter + transpose, in projection order.
-        let producer = ring.clone();
-        let filterer = &filterer;
-        let flt = s.spawn(move || {
-            for (i, img) in projections.iter().enumerate() {
-                let q = match &filter_cell {
-                    Some(cell) => {
-                        let t = clock::now();
-                        let q = filterer.filter_indexed(i, img);
-                        cell.record(t.elapsed().as_nanos() as u64);
-                        q
-                    }
-                    None => filterer.filter_indexed(i, img),
-                };
-                if producer.push((i, q.transposed())).is_err() {
-                    return; // consumer gone
-                }
-            }
-            producer.close();
-        });
-
-        // Back-projection thread role (run on this thread): consume fixed
-        // `batch`-sized groups so results are batch-deterministic.
-        loop {
-            let items = ring.pop_batch(opts.bp.batch);
-            if items.is_empty() {
-                break;
-            }
-            let started = bp_cell.as_ref().map(|_| clock::now());
-            acc.add(&pool, &mats, items.iter().map(|(i, q)| (*i, q)))?;
-            if let (Some(cell), Some(started)) = (&bp_cell, started) {
-                cell.record_batch(items.len() as u64, started.elapsed().as_nanos() as u64);
-            }
-        }
-        flt.join().expect("filter thread panicked");
-        Ok(acc.into_volume())
-    })?;
+    let load = |_: &Track, i| Ok(projections.get(i));
+    let vol = pipeline::filter_backproject(geo, opts.filter, opts.bp, &pool, obs, ring, load)?;
     Ok(finish_volume(vol, geo, opts.apply_scale))
-}
-
-/// Convenience: forward-project a phantom and reconstruct it, returning
-/// `(reconstruction, voxelised ground truth)` — the standard evaluation
-/// loop of Section 5.1 (RTK forward projector + reconstruction + compare).
-pub fn reconstruct_phantom(
-    geo: &CbctGeometry,
-    phantom: &ct_core::phantom::Phantom,
-    opts: &ReconOptions,
-) -> Result<(Volume, Volume)> {
-    let projections = ct_core::forward::project_all_analytic(geo, phantom);
-    let recon = reconstruct(geo, &projections, opts)?;
-    let truth = phantom.voxelize(geo.volume, VolumeLayout::IMajor, |i, j, k| {
-        geo.voxel_position(i, j, k)
-    });
-    Ok((recon, truth))
 }
 
 #[cfg(test)]
@@ -209,9 +153,27 @@ mod tests {
     use ct_core::metrics::nrmse;
     use ct_core::phantom::Phantom;
     use ct_core::problem::{Dims2, Dims3};
+    use ct_core::volume::VolumeLayout;
 
     fn geo(n: usize, np: usize) -> CbctGeometry {
         CbctGeometry::standard(Dims2::new(2 * n, 2 * n), np, Dims3::cube(n))
+    }
+
+    /// Forward-project a phantom and reconstruct it, returning
+    /// `(reconstruction, voxelised ground truth)` — the standard
+    /// evaluation loop of Section 5.1 (RTK forward projector +
+    /// reconstruction + compare).
+    fn reconstruct_phantom(
+        geo: &CbctGeometry,
+        phantom: &Phantom,
+        opts: &ReconOptions,
+    ) -> Result<(Volume, Volume)> {
+        let projections = ct_core::forward::project_all_analytic(geo, phantom);
+        let recon = reconstruct(geo, &projections, opts)?;
+        let truth = phantom.voxelize(geo.volume, VolumeLayout::IMajor, |i, j, k| {
+            geo.voxel_position(i, j, k)
+        });
+        Ok((recon, truth))
     }
 
     #[test]
@@ -287,10 +249,12 @@ mod tests {
         let a = reconstruct_pipelined_live(&g, &projections, &opts, &reg).unwrap();
         let b = reconstruct_pipelined(&g, &projections, &opts).unwrap();
         assert_eq!(a.data(), b.data(), "telemetry must not change bits");
-        // Both stages completed all Np projections.
+        // Both stages completed their plan: Np filter spans and, with
+        // the default batch of 32, one back-projection batch span.
         assert_eq!(reg.stage("filter").done(), 24);
         assert_eq!(reg.stage("filter").planned(), 24);
-        assert_eq!(reg.stage("backprojection").done(), 24);
+        assert_eq!(reg.stage("backprojection").done(), 1);
+        assert_eq!(reg.stage("backprojection").planned(), 1);
         assert!(reg.stage("backprojection").busy_ns() > 0);
         // A snapshot taken now shows the finished run: full progress,
         // one registered ring.

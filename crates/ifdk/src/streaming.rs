@@ -23,7 +23,6 @@ pub struct StreamingReconstructor {
     mats: Vec<ProjectionMatrix>,
     filterer: Filterer,
     pool: Pool,
-    batch: usize,
     apply_scale: bool,
     pending: Vec<(usize, TransposedProjection)>,
     acc: BatchAccumulator,
@@ -39,13 +38,11 @@ impl StreamingReconstructor {
         pool: Pool,
         apply_scale: bool,
     ) -> Result<Self> {
-        geo.validate()?;
-        bp.validate(geo.volume)?;
+        crate::pipeline::validate(&geo, &bp)?;
         let mats = geo.projection_matrices();
         let filterer = Filterer::new(&geo, filter);
         let acc = BatchAccumulator::full(&geo, bp)?;
         Ok(Self {
-            batch: bp.batch,
             geo,
             mats,
             filterer,
@@ -85,7 +82,7 @@ impl StreamingReconstructor {
         let q = self.filterer.filter_indexed(self.next_index, img);
         self.pending.push((self.next_index, q.transposed()));
         self.next_index += 1;
-        if self.pending.len() >= self.batch {
+        if self.pending.len() >= self.acc.batch() {
             self.flush_pending()?;
         }
         Ok(())

@@ -1,11 +1,18 @@
 //! Distributed-framework integration tests: the 2D rank grid, collectives
 //! and PFS I/O working together (paper Section 4 / Figure 7).
 
+use ct_bp::BpConfig;
 use ct_core::metrics::nrmse;
 use ct_core::problem::Dims3;
+use ct_filter::FilterConfig;
+use ct_obs::live::LiveRegistry;
+use ct_par::Pool;
 use ct_pfs::{Backend, PfsConfig, PfsStore};
 use ifdk::distributed::{download_volume, upload_projections};
-use ifdk::{reconstruct, reconstruct_distributed, DistConfig, RankGrid, ReconOptions};
+use ifdk::{
+    reconstruct, reconstruct_distributed, reconstruct_pipelined, reconstruct_pipelined_live,
+    DistConfig, RankGrid, ReconOptions, StreamingReconstructor,
+};
 use ifdk_integration_tests::scene;
 
 fn run_grid(
@@ -148,4 +155,58 @@ fn rectangular_volume_distributes() {
     let single = reconstruct(&geo, &stack, &ReconOptions::default()).unwrap();
     let (vol, _) = run_grid(&geo, &input, 4, 2);
     assert!(nrmse(single.data(), vol.data()).unwrap() < 1e-5);
+}
+
+/// The five doors are one pipeline: on one pool thread they give the
+/// same bits, and the 1x1 grid is that pipeline with collectives that
+/// move nothing. (Grids with R > 1 or C > 1 interleave the projection
+/// stream or split the sum; they are held to < 1e-5 above, not to bits.)
+#[test]
+fn every_door_gives_the_same_bits_on_one_rank() {
+    let (geo, _, stack) = scene(16, 72);
+    let opts = ReconOptions {
+        threads: 1,
+        ..ReconOptions::default()
+    };
+    let plain = reconstruct(&geo, &stack, &opts).unwrap();
+
+    let pipelined = reconstruct_pipelined(&geo, &stack, &opts).unwrap();
+    assert_eq!(plain.data(), pipelined.data(), "reconstruct_pipelined");
+
+    let live = reconstruct_pipelined_live(&geo, &stack, &opts, &LiveRegistry::new()).unwrap();
+    assert_eq!(plain.data(), live.data(), "reconstruct_pipelined_live");
+
+    let (filter, bp) = (FilterConfig::default(), BpConfig::default());
+    let mut streaming =
+        StreamingReconstructor::new(geo.clone(), filter, bp, Pool::new(1), true).unwrap();
+    for img in stack.iter() {
+        streaming.feed(img).unwrap();
+    }
+    let streamed = streaming.finish().unwrap();
+    assert_eq!(plain.data(), streamed.data(), "StreamingReconstructor");
+
+    let input = PfsStore::memory();
+    upload_projections(&input, &stack).unwrap();
+    let (dist, report) = run_grid(&geo, &input, 1, 1);
+    assert_eq!(plain.data(), dist.data(), "reconstruct_distributed 1x1");
+    assert_eq!((report.comm_messages, report.comm_bytes), (0, 0));
+}
+
+/// The small-scale twin of the benchmark's exact 218 messages /
+/// 87 032 384 bytes check on `dist_2x2`: the collectives' traffic is a
+/// function of the grid and the problem, so a refactor that changes it
+/// shows up here first.
+#[test]
+fn traffic_of_the_2x2_grid_is_pinned() {
+    let (geo, _, stack) = scene(16, 72);
+    let input = PfsStore::memory();
+    upload_projections(&input, &stack).unwrap();
+    let (_, report) = run_grid(&geo, &input, 2, 2);
+    assert_eq!(
+        (report.comm_messages, report.comm_bytes),
+        (98, 311_872),
+        "18 AllGather ops of one 32x32 projection on each of 4 ranks (72 x 4096 B), \
+         two 4-rank communicator splits (24 x 24 B), one half-volume Reduce per row \
+         (2 x 8192 B)"
+    );
 }
