@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ct_fft::conv::RowConvolver;
 use ct_fft::{convolve_direct, convolve_fft, Complex, FftPlan};
+use ct_filter::{ramp_kernel, RampKind};
 use std::time::Duration;
 
 fn bench_fft_sizes(c: &mut Criterion) {
@@ -63,23 +64,29 @@ fn bench_convolution_crossover(c: &mut Criterion) {
 }
 
 fn bench_row_convolver(c: &mut Criterion) {
-    // The exact per-row hot loop of the filtering stage.
+    // The filtering stage's hot loop: two detector rows per transform
+    // against the full-width Ram-Lak kernel, at the benchmark's detector
+    // widths. One element is one row, so the rate reads Mrows/s.
     let mut group = c.benchmark_group("row_convolver");
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
-    let n = 2048usize;
-    let kernel: Vec<f64> = (0..2 * n + 1).map(|i| (i as f64 * 1e-4).cos()).collect();
-    let conv = RowConvolver::new(n, &kernel);
-    let mut scratch = conv.make_scratch();
-    let row: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function("2048_row", |b| {
-        b.iter(|| {
-            let mut r = row.clone();
-            conv.convolve_row_f32(&mut r, &mut scratch);
-            r
+    group.throughput(Throughput::Elements(2));
+    for nu in [320usize, 512] {
+        let conv = RowConvolver::new(nu, &ramp_kernel(RampKind::RamLak, nu, 0.5));
+        let mut scratch = conv.make_scratch();
+        let row: Vec<f32> = (0..nu).map(|i| (i as f32).sin()).collect();
+        let (mut a, mut b) = (row.clone(), row.clone());
+        group.bench_with_input(BenchmarkId::new("ramp_pair", nu), &(), |bench, _| {
+            bench.iter(|| {
+                // Fresh rows each time: the ramp amplifies high
+                // frequencies, so re-filtering would run into inf/NaN.
+                a.copy_from_slice(&row);
+                b.copy_from_slice(&row);
+                conv.convolve_row_pair_f32(&mut a, &mut b, &mut scratch);
+                a[0]
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -1,8 +1,9 @@
 //! Kernel equivalence gate: every back-projection variant must agree
 //! with the serial `standard` kernel (Algorithm 2) on randomized
 //! geometries, the driver must be bit-identical across thread counts
-//! and tile shapes, and the lane-array kernel must be bit-identical to
-//! its scalar oracle.
+//! and tile shapes, the lane-array kernel must be bit-identical to
+//! its scalar oracle, and the filter's row convolver must keep the
+//! direct convolution's window.
 //!
 //! ```text
 //! cargo run --release -p ifdk-bench --bin equivalence -- \
@@ -16,8 +17,14 @@
 //! the driver's outputs across pool widths. The lane-array checks then
 //! run the lane kernel at 1/2/4 threads and every tile shape, requiring
 //! bitwise equality with the scalar sampler in the untiled reference
-//! loop. The seed is printed so any failure replays with `--seed`. Exit
-//! codes follow `ifdk_bench::check`.
+//! loop. Each trial also draws a row length `N` in `1..=600`, a kernel of
+//! `2N+1`, `2*(N/8)+1`, `1` or `2N+9` random taps and a row pair with
+//! random spikes, and requires `RowConvolver::convolve_row_pair_f32` to
+//! match the centre window of `convolve_direct` within
+//! `1e-5 * sum|k| * max|x|` (these draws come from their own stream, so a
+//! seed picks the same geometries as before they were added). The seed
+//! is printed so any failure replays with `--seed`. Exit codes follow
+//! `ifdk_bench::check`.
 
 use ct_bp::lanes::{backproject_batch, KernelImpl};
 use ct_bp::tiled::{backproject_tiled_with, TileConfig};
@@ -25,6 +32,8 @@ use ct_bp::warp::{backproject_warp_with, WARP_BATCH};
 use ct_bp::{backproject, backproject_standard, BpConfig, KernelVariant};
 use ct_core::metrics::nrmse;
 use ct_core::volume::VolumeLayout;
+use ct_fft::conv::RowConvolver;
+use ct_fft::convolve_direct;
 use ifdk_bench::check::Gate;
 use ifdk_bench::{arg_usize, synthetic_stack};
 use rand::rngs::StdRng;
@@ -35,6 +44,45 @@ const TOLERANCE: f64 = 1e-5;
 
 fn pick(rng: &mut StdRng, choices: &[usize]) -> usize {
     choices[rng.gen::<u64>() as usize % choices.len()]
+}
+
+/// Pair-convolve two random spiky rows through `RowConvolver` and
+/// compare with the direct convolution's "same" window; `Err` names the
+/// row length and kernel length.
+fn check_row_convolver(rng: &mut StdRng) -> Result<(), String> {
+    let n = 1 + rng.gen::<usize>() % 600;
+    let k = pick(rng, &[2 * n + 1, 2 * (n / 8) + 1, 1, 2 * n + 9]);
+    let kernel: Vec<f64> = (0..k).map(|_| 2.0 * rng.gen::<f64>() - 1.0).collect();
+    let spiky = |rng: &mut StdRng| -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.gen::<u32>() % 8 {
+                0 => 1e3 * (2.0 * rng.gen::<f32>() - 1.0),
+                _ => rng.gen::<f32>() - 0.5,
+            })
+            .collect()
+    };
+    let rows = [spiky(rng), spiky(rng)];
+    let conv = RowConvolver::new(n, &kernel);
+    let (mut a, mut b) = (rows[0].clone(), rows[1].clone());
+    conv.convolve_row_pair_f32(&mut a, &mut b, &mut conv.make_scratch());
+    let k_abs: f64 = kernel.iter().map(|v| v.abs()).sum();
+    let x_max = rows.iter().flatten().fold(0.0f32, |m, v| m.max(v.abs()));
+    let tol = 1e-5 * k_abs * x_max as f64;
+    let c = k / 2;
+    for (row, got) in rows.iter().zip([a, b]) {
+        let x: Vec<f64> = row.iter().map(|&v| v as f64).collect();
+        let want = &convolve_direct(&x, &kernel)[c..c + n];
+        let err = want
+            .iter()
+            .zip(got.iter())
+            .fold(0.0f64, |m, (&w, &g)| m.max((w - g as f64).abs()));
+        if err > tol {
+            return Err(format!(
+                "row convolver N={n} K={k}: max error {err:.3e} > {tol:.3e}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn run(args: &[String]) -> Gate {
@@ -49,6 +97,7 @@ fn run(args: &[String]) -> Gate {
     ) as u64;
     println!("equivalence: {trials} trials, seed {seed} (rerun with --seed {seed})");
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut conv_rng = StdRng::seed_from_u64(seed ^ 0xF17E_2C0D);
     let mut failures: Vec<String> = Vec::new();
 
     for trial in 0..trials {
@@ -164,19 +213,23 @@ fn run(args: &[String]) -> Gate {
                 }
             }
         }
+
+        if let Err(e) = check_row_convolver(&mut conv_rng) {
+            failures.push(format!("trial {trial}: {e} (seed {seed})"));
+        }
     }
 
     if failures.is_empty() {
         println!(
             "OK: all variants agree with standard (nrmse < {TOLERANCE:.0e}); \
-             lanes bit-identical to scalar"
+             lanes bit-identical to scalar; row convolver matches direct"
         );
         Gate::Ok
     } else {
         for f in &failures {
             eprintln!("equivalence: {f}");
         }
-        Gate::CheckFailed(format!("{} kernel mismatches", failures.len()))
+        Gate::CheckFailed(format!("{} mismatches", failures.len()))
     }
 }
 

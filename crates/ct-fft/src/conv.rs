@@ -67,26 +67,51 @@ pub fn convolve_same_fft(a: &[f64], b: &[f64]) -> Vec<f64> {
 #[derive(Debug, Clone)]
 pub struct RowConvolver {
     row_len: usize,
-    kernel_len: usize,
+    /// Kernel centre `K / 2`: where the kept window starts.
+    offset: usize,
     plan: FftPlan,
+    /// Spectrum of the kernel folded modulo the FFT length, times `1/M`.
     kernel_spectrum: Vec<Complex>,
 }
 
 impl RowConvolver {
-    /// Prepare for convolving rows of length `row_len` with `kernel`.
+    /// Prepare for convolving rows of length `row_len` (`N`) with
+    /// `kernel` (`K` taps, centre `c = K / 2`).
+    ///
+    /// A row's "same" output is the window `[c, c + N)` of the linear
+    /// convolution. The FFT length is
+    /// `M = max(N + c, N + K - 1 - c).next_power_of_two()`, and the kernel
+    /// is folded into it modulo `M` (tap `i` adds to bin `i % M`), so the
+    /// transform computes the linear convolution wrapped modulo `M`. That
+    /// wrap lands only on outputs outside the kept window: `c + N <= M`
+    /// keeps the window inside the buffer, and `N + K - 1 - c <= M` puts
+    /// every output past `M` below `c` once wrapped. The second bound
+    /// never exceeds the first (`K - 1 - c <= c`), so
+    /// `M = (N + c).next_power_of_two()`; for the full-width ramp
+    /// (`K = 2N + 1`) that is `2N` rounded up, where the unfolded linear
+    /// convolution would need `3N`.
+    ///
+    /// The kernel spectrum is multiplied by `1/M` here, once; `M` is a
+    /// power of two, so that product is exact and the per-row inverse
+    /// transform runs unscaled with the same result as a scaled one.
     pub fn new(row_len: usize, kernel: &[f64]) -> Self {
         assert!(row_len > 0, "row length must be nonzero");
         assert!(!kernel.is_empty(), "kernel must be nonempty");
-        let m = (row_len + kernel.len() - 1).next_power_of_two();
+        let offset = kernel.len() / 2;
+        let m = (row_len + offset).next_power_of_two();
         let plan = FftPlan::new(m);
         let mut spec = vec![Complex::ZERO; m];
         for (i, &x) in kernel.iter().enumerate() {
-            spec[i] = Complex::from_real(x);
+            spec[i % m].re += x;
         }
         plan.forward(&mut spec);
+        let s = 1.0 / m as f64;
+        for c in spec.iter_mut() {
+            *c = c.scale(s);
+        }
         Self {
             row_len,
-            kernel_len: kernel.len(),
+            offset,
             plan,
             kernel_spectrum: spec,
         }
@@ -109,21 +134,13 @@ impl RowConvolver {
     /// by the caller so per-row processing allocates nothing.
     pub fn convolve_row_f32(&self, row: &mut [f32], scratch: &mut [Complex]) {
         assert_eq!(row.len(), self.row_len, "row length mismatch");
-        assert_eq!(scratch.len(), self.plan.len(), "scratch length mismatch");
-        for c in scratch.iter_mut() {
-            *c = Complex::ZERO;
-        }
-        for (i, &x) in row.iter().enumerate() {
-            scratch[i] = Complex::from_real(x as f64);
-        }
-        self.plan.forward(scratch);
-        for (x, y) in scratch.iter_mut().zip(self.kernel_spectrum.iter()) {
-            *x *= *y;
-        }
-        self.plan.inverse(scratch);
-        let offset = self.kernel_len / 2;
-        for (i, r) in row.iter_mut().enumerate() {
-            *r = scratch[offset + i].re as f32;
+        let window = self.convolve(scratch, |head| {
+            for (c, &x) in head.iter_mut().zip(row.iter()) {
+                *c = Complex::from_real(x as f64);
+            }
+        });
+        for (r, c) in row.iter_mut().zip(window) {
+            *r = c.re as f32;
         }
     }
 
@@ -139,23 +156,35 @@ impl RowConvolver {
     ) {
         assert_eq!(row_a.len(), self.row_len, "row length mismatch");
         assert_eq!(row_b.len(), self.row_len, "row length mismatch");
+        let window = self.convolve(scratch, |head| {
+            for ((c, &a), &b) in head.iter_mut().zip(row_a.iter()).zip(row_b.iter()) {
+                *c = Complex::new(a as f64, b as f64);
+            }
+        });
+        for ((a, b), c) in row_a.iter_mut().zip(row_b.iter_mut()).zip(window) {
+            *a = c.re as f32;
+            *b = c.im as f32;
+        }
+    }
+
+    /// The per-row transform chain: `load` fills the first `row_len`
+    /// entries of `scratch`, the tail is zeroed, and the returned slice is
+    /// the kept "same" window of the circular convolution.
+    fn convolve<'s>(
+        &self,
+        scratch: &'s mut [Complex],
+        load: impl FnOnce(&mut [Complex]),
+    ) -> &'s [Complex] {
         assert_eq!(scratch.len(), self.plan.len(), "scratch length mismatch");
-        for c in scratch.iter_mut() {
-            *c = Complex::ZERO;
-        }
-        for (i, (&a, &b)) in row_a.iter().zip(row_b.iter()).enumerate() {
-            scratch[i] = Complex::new(a as f64, b as f64);
-        }
+        let (head, tail) = scratch.split_at_mut(self.row_len);
+        load(head);
+        tail.fill(Complex::ZERO);
         self.plan.forward(scratch);
-        for (x, y) in scratch.iter_mut().zip(self.kernel_spectrum.iter()) {
-            *x *= *y;
+        for (x, &y) in scratch.iter_mut().zip(self.kernel_spectrum.iter()) {
+            *x *= y;
         }
-        self.plan.inverse(scratch);
-        let offset = self.kernel_len / 2;
-        for i in 0..self.row_len {
-            row_a[i] = scratch[offset + i].re as f32;
-            row_b[i] = scratch[offset + i].im as f32;
-        }
+        self.plan.inverse_unscaled(scratch);
+        &scratch[self.offset..self.offset + self.row_len]
     }
 
     /// Allocate a scratch buffer of the right size for
@@ -271,6 +300,189 @@ mod tests {
         for i in 0..40 {
             assert!((single_a[i] - pair_a[i]).abs() < 1e-4, "a[{i}]");
             assert!((single_b[i] - pair_b[i]).abs() < 1e-4, "b[{i}]");
+        }
+    }
+
+    const ROW_LENS: [usize; 10] = [1, 2, 3, 7, 33, 64, 255, 256, 320, 512];
+
+    /// Kernel lengths per row length: even lengths put the centre
+    /// off-centre, and the longer ones exceed the FFT length (folded).
+    fn kernel_lens(n: usize) -> [usize; 7] {
+        [1, 2, 3, 2 * (n / 8) + 1, 2 * n - 1, 2 * n + 1, 2 * n + 9]
+    }
+
+    /// A `k`-tap kernel with no zero tap, so any wrap shows.
+    fn dense_kernel(k: usize) -> Vec<f64> {
+        (0..k)
+            .map(|i| ((i * 7919) % 97) as f64 / 50.0 - 0.97)
+            .collect()
+    }
+
+    /// Impulses at both ends, alternating +-1e3, a constant and a ramp.
+    fn adversarial_rows(n: usize) -> Vec<Vec<f32>> {
+        let mut first = vec![0.0; n];
+        first[0] = 1.0;
+        let mut last = vec![0.0; n];
+        last[n - 1] = 1.0;
+        let alternating = (0..n)
+            .map(|i| if i % 2 == 0 { 1e3 } else { -1e3 })
+            .collect();
+        vec![
+            first,
+            last,
+            alternating,
+            vec![0.75; n],
+            (0..n).map(|i| i as f32).collect(),
+        ]
+    }
+
+    /// The "same" window of the direct convolution and the tolerance
+    /// `1e-5 * sum|k| * max|x|` a convolver output must meet against it.
+    fn direct_window(row: &[f32], k: &[f64]) -> (Vec<f64>, f64) {
+        let x: Vec<f64> = row.iter().map(|&v| v as f64).collect();
+        let c = k.len() / 2;
+        let window = convolve_direct(&x, k)[c..c + row.len()].to_vec();
+        let k_abs: f64 = k.iter().map(|v| v.abs()).sum();
+        let x_max = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        (window, 1e-5 * k_abs * x_max)
+    }
+
+    #[test]
+    fn row_convolver_keeps_the_direct_window_at_the_minimal_length() {
+        for n in ROW_LENS {
+            for k in kernel_lens(n) {
+                let kernel = dense_kernel(k);
+                let conv = RowConvolver::new(n, &kernel);
+                let c = k / 2;
+                let rule = (n + c).max(n + k - 1 - c).next_power_of_two();
+                assert_eq!(conv.fft_len(), rule, "N={n} K={k}");
+                let rows = adversarial_rows(n);
+                let mut scratch = conv.make_scratch();
+                for (r, row) in rows.iter().enumerate() {
+                    let (want, tol) = direct_window(row, &kernel);
+                    let mut single = row.clone();
+                    conv.convolve_row_f32(&mut single, &mut scratch);
+                    // Pair each row with the next, so both lanes see
+                    // every adversarial row.
+                    let mut pair_a = row.clone();
+                    let mut pair_b = rows[(r + 1) % rows.len()].clone();
+                    let (want_b, tol_b) = direct_window(&pair_b, &kernel);
+                    // One transform carries both rows, so its rounding
+                    // scales with the larger of the two.
+                    let tol_pair = tol.max(tol_b);
+                    conv.convolve_row_pair_f32(&mut pair_a, &mut pair_b, &mut scratch);
+                    for i in 0..n {
+                        for (got, w, t) in [
+                            (single[i], want[i], tol),
+                            (pair_a[i], want[i], tol_pair),
+                            (pair_b[i], want_b[i], tol_pair),
+                        ] {
+                            assert!(
+                                (got as f64 - w).abs() <= t,
+                                "N={n} K={k} row {r} index {i}: {got} vs {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn half_the_length_aliases_an_edge_impulse() {
+        // Negative control: the same fold-and-convolve at M/2 points wraps
+        // part of the linear convolution into the kept window, so the bound
+        // is tight.
+        for n in ROW_LENS {
+            for k in kernel_lens(n) {
+                let kernel = dense_kernel(k);
+                let m = RowConvolver::new(n, &kernel).fft_len() / 2;
+                if m == 0 {
+                    continue;
+                }
+                let plan = FftPlan::new(m);
+                let c = k / 2;
+                let aliased = adversarial_rows(n)[..2].iter().any(|row| {
+                    let mut x = vec![Complex::ZERO; m];
+                    for (i, &v) in row.iter().enumerate() {
+                        x[i % m].re += v as f64;
+                    }
+                    let mut h = vec![Complex::ZERO; m];
+                    for (i, &v) in kernel.iter().enumerate() {
+                        h[i % m].re += v;
+                    }
+                    plan.forward(&mut x);
+                    plan.forward(&mut h);
+                    for (a, &b) in x.iter_mut().zip(h.iter()) {
+                        *a *= b;
+                    }
+                    plan.inverse(&mut x);
+                    let (want, tol) = direct_window(row, &kernel);
+                    (0..n).any(|i| (x[(c + i) % m].re - want[i]).abs() > tol)
+                });
+                assert!(aliased, "N={n} K={k}: no alias at {m} points");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_is_within_one_ulp_of_the_old_length_rule() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // The full-width Ram-Lak ramp for 512-wide rows: 1025 taps, now
+        // 1024 points where the old rule `(N + K - 1).next_power_of_two()`
+        // with an unfolded kernel used 2048.
+        let n = 512;
+        let kernel: Vec<f64> = (-(n as i64)..=n as i64)
+            .map(|t| match t {
+                0 => 0.25,
+                t if t % 2 == 0 => 0.0,
+                t => -1.0 / (std::f64::consts::PI * std::f64::consts::PI * (t * t) as f64),
+            })
+            .collect();
+        let conv = RowConvolver::new(n, &kernel);
+        assert_eq!(conv.fft_len(), 1024);
+        let old = FftPlan::new(2048);
+        let mut old_spec = vec![Complex::ZERO; 2048];
+        for (s, &v) in old_spec.iter_mut().zip(kernel.iter()) {
+            *s = Complex::from_real(v);
+        }
+        old.forward(&mut old_spec);
+
+        // Ordered-integer image of an f32, so ulp distance is a difference.
+        let ordered = |x: f32| {
+            let b = x.to_bits() as i32 as i64;
+            if b < 0 {
+                i32::MIN as i64 - b
+            } else {
+                b
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut scratch = conv.make_scratch();
+        for _ in 0..16 {
+            let mut a: Vec<f32> = (0..n).map(|_| 100.0 * rng.gen::<f32>() - 50.0).collect();
+            let mut b: Vec<f32> = (0..n).map(|_| 100.0 * rng.gen::<f32>() - 50.0).collect();
+            let mut buf: Vec<Complex> = a
+                .iter()
+                .zip(b.iter())
+                .map(|(&x, &y)| Complex::new(x as f64, y as f64))
+                .chain(std::iter::repeat(Complex::ZERO))
+                .take(2048)
+                .collect();
+            old.forward(&mut buf);
+            for (x, &y) in buf.iter_mut().zip(old_spec.iter()) {
+                *x *= y;
+            }
+            old.inverse(&mut buf);
+            conv.convolve_row_pair_f32(&mut a, &mut b, &mut scratch);
+            for (i, w) in buf[n..2 * n].iter().enumerate() {
+                for (got, want) in [(a[i], w.re as f32), (b[i], w.im as f32)] {
+                    assert!(
+                        (ordered(got) - ordered(want)).abs() <= 1,
+                        "index {i}: {got} vs {want}"
+                    );
+                }
+            }
         }
     }
 

@@ -7,13 +7,29 @@
 //! replacement:
 //!
 //! * [`FftPlan`] — iterative radix-2 decimation-in-time FFT with
-//!   precomputed twiddle factors and bit-reversal permutation.
+//!   precomputed twiddle factors and bit-reversal permutation. Each sweep
+//!   over the data does two butterfly levels (radix-2²), and the inverse
+//!   conjugates the twiddles as it applies them instead of conjugating
+//!   the data before and after a forward transform. Both are the same
+//!   butterflies in the same order as the level-by-level loop with
+//!   conjugation passes, so results equal that loop's in value (the sign
+//!   of an exact zero may differ).
 //! * [`fft_any`]/[`ifft_any`] — arbitrary-length transforms via
 //!   Bluestein's chirp-z algorithm layered on the radix-2 plan.
 //! * [`conv`] — linear and circular convolution through the frequency
 //!   domain (the Convolution Theorem route of Section 2.2.3), with a
 //!   direct time-domain oracle for testing.
 //! * [`dft_naive`] — an O(N^2) reference transform used by the test suite.
+//!
+//! The filtering stage's per-row work is [`conv::RowConvolver`]. For rows
+//! of `N` samples and a `K`-tap kernel centred at `c = K / 2` it uses
+//! `M = max(N + c, N + K - 1 - c).next_power_of_two()` points, which is
+//! `(N + c).next_power_of_two()`, and folds the kernel modulo `M`: the
+//! circular wrap then lands only outside the kept window `[c, c + N)`, so
+//! the full-width ramp (`K = 2N + 1`) runs at `2N` points rounded up, not
+//! `3N`. Only this length choice changes output values (in the last bits
+//! of the `f64` sums); the `1/M` factor folded into the kernel spectrum is
+//! exact because `M` is a power of two.
 //!
 //! Numerics are `f64` internally; the filtering stage feeds `f32` detector
 //! rows in and casts back after the inverse transform, which keeps the

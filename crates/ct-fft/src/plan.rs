@@ -68,49 +68,93 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len() != self.len()`.
     pub fn forward(&self, data: &mut [Complex]) {
+        self.transform::<false>(data);
+    }
+
+    /// In-place inverse FFT, scaled by `1/N` so `inverse(forward(x)) == x`.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != self.len()`.
+    pub fn inverse(&self, data: &mut [Complex]) {
+        self.inverse_unscaled(data);
+        let s = 1.0 / self.n as f64;
+        for c in data.iter_mut() {
+            *c = c.scale(s);
+        }
+    }
+
+    /// In-place inverse FFT without the `1/N` factor, for callers that
+    /// fold the scale into data they prepare once (see
+    /// [`crate::conv::RowConvolver`]).
+    pub(crate) fn inverse_unscaled(&self, data: &mut [Complex]) {
+        self.transform::<true>(data);
+    }
+
+    /// The twiddles `exp(-i*pi*j/span)`, `j < span`, of the level with
+    /// butterfly span `span` (levels are stored back to back, so the one
+    /// with span `s` starts at `1 + 2 + ... + s/2 = s - 1`).
+    fn level(&self, span: usize) -> &[Complex] {
+        &self.twiddles[span - 1..2 * span - 1]
+    }
+
+    /// Bit-reversal permutation, then the radix-2 decimation-in-time
+    /// butterflies, two levels (spans `s` and `2s`) per sweep over each
+    /// `4s` block and one plain level last when `log2 N` is odd. Every
+    /// butterfly, twiddle and per-butterfly operation order is that of
+    /// the level-by-level loop, so the result is the same.
+    ///
+    /// `INVERSE` conjugates the twiddles as it applies them. Since
+    /// `conj(a*b) = conj(a)*conj(b)` holds in floating point up to the
+    /// sign of an exact zero, this equals `conj(forward(conj(x)))` in
+    /// value without the two conjugation passes.
+    fn transform<const INVERSE: bool>(&self, data: &mut [Complex]) {
         assert_eq!(data.len(), self.n, "buffer length mismatch");
         let n = self.n;
         if n <= 1 {
             return;
         }
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
+        for (i, &r) in self.bitrev.iter().enumerate() {
+            let j = r as usize;
             if i < j {
                 data.swap(i, j);
             }
         }
-        // Iterative butterflies.
         let mut span = 1;
-        let mut tw_base = 0;
-        while span < n {
-            let step = span * 2;
-            for start in (0..n).step_by(step) {
-                for j in 0..span {
-                    let w = self.twiddles[tw_base + j];
-                    let a = data[start + j];
-                    let b = data[start + j + span] * w;
-                    data[start + j] = a + b;
-                    data[start + j + span] = a - b;
+        while 4 * span <= n {
+            let inner = self.level(span);
+            let (outer_lo, outer_hi) = self.level(2 * span).split_at(span);
+            for block in data.chunks_exact_mut(4 * span) {
+                let (q0, rest) = block.split_at_mut(span);
+                let (q1, rest) = rest.split_at_mut(span);
+                let (q2, q3) = rest.split_at_mut(span);
+                let quarters = q0.iter_mut().zip(q1).zip(q2).zip(q3);
+                let twiddles = inner.iter().zip(outer_lo).zip(outer_hi);
+                for ((((x0, x1), x2), x3), ((&w, &w_lo), &w_hi)) in quarters.zip(twiddles) {
+                    // Level `span`: pairs (x0, x1) and (x2, x3).
+                    let (a0, a1) = butterfly::<INVERSE>(*x0, *x1, w);
+                    let (a2, a3) = butterfly::<INVERSE>(*x2, *x3, w);
+                    // Level `2 * span`: pairs (x0, x2) and (x1, x3).
+                    (*x0, *x2) = butterfly::<INVERSE>(a0, a2, w_lo);
+                    (*x1, *x3) = butterfly::<INVERSE>(a1, a3, w_hi);
                 }
             }
-            tw_base += span;
-            span = step;
+            span *= 4;
+        }
+        if span < n {
+            let (lo, hi) = data.split_at_mut(span);
+            for ((x0, x1), &w) in lo.iter_mut().zip(hi).zip(self.level(span)) {
+                (*x0, *x1) = butterfly::<INVERSE>(*x0, *x1, w);
+            }
         }
     }
+}
 
-    /// In-place inverse FFT, scaled by `1/N` so `inverse(forward(x)) == x`.
-    pub fn inverse(&self, data: &mut [Complex]) {
-        // IFFT(x) = conj(FFT(conj(x))) / N
-        for c in data.iter_mut() {
-            *c = c.conj();
-        }
-        self.forward(data);
-        let s = 1.0 / self.n as f64;
-        for c in data.iter_mut() {
-            *c = c.conj().scale(s);
-        }
-    }
+/// One radix-2 butterfly: `(a + b*w, a - b*w)`, with `w` conjugated for
+/// the inverse transform.
+#[inline(always)]
+fn butterfly<const INVERSE: bool>(a: Complex, b: Complex, w: Complex) -> (Complex, Complex) {
+    let b = b * if INVERSE { w.conj() } else { w };
+    (a + b, a - b)
 }
 
 /// Forward FFT of arbitrary length. Power-of-two inputs use the radix-2
@@ -268,6 +312,80 @@ mod tests {
             plan.forward(&mut buf);
             plan.inverse(&mut buf);
             assert_close(&buf, &x, 1e-9);
+        }
+    }
+
+    /// The level-by-level radix-2 loop `forward` replaced, verbatim.
+    fn oracle_forward(plan: &FftPlan, data: &mut [Complex]) {
+        let n = plan.n;
+        if n <= 1 {
+            return;
+        }
+        for i in 0..n {
+            let j = plan.bitrev[i] as usize;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let mut span = 1;
+        let mut tw_base = 0;
+        while span < n {
+            let step = span * 2;
+            for start in (0..n).step_by(step) {
+                for j in 0..span {
+                    let w = plan.twiddles[tw_base + j];
+                    let a = data[start + j];
+                    let b = data[start + j + span] * w;
+                    data[start + j] = a + b;
+                    data[start + j + span] = a - b;
+                }
+            }
+            tw_base += span;
+            span = step;
+        }
+    }
+
+    /// The conjugate-pass inverse `inverse` replaced, verbatim.
+    fn oracle_inverse(plan: &FftPlan, data: &mut [Complex]) {
+        for c in data.iter_mut() {
+            *c = c.conj();
+        }
+        oracle_forward(plan, data);
+        let s = 1.0 / plan.n as f64;
+        for c in data.iter_mut() {
+            *c = c.conj().scale(s);
+        }
+    }
+
+    #[test]
+    fn forward_and_inverse_equal_the_level_by_level_oracles() {
+        // `==` per component, so the only licensed difference (the sign
+        // of an exact zero) compares equal and nothing else does. Real
+        // inputs and impulses put exact zeros through the butterflies.
+        for k in 0..=12 {
+            let n = 1usize << k;
+            let plan = FftPlan::new(n);
+            let mut impulse = vec![Complex::ZERO; n];
+            impulse[n / 3] = Complex::new(-1.5, 0.0);
+            let real: Vec<Complex> = signal(n).iter().map(|c| Complex::from_real(c.re)).collect();
+            for x in [signal(n), real, impulse] {
+                for inverse in [false, true] {
+                    let (mut got, mut want) = (x.clone(), x.clone());
+                    if inverse {
+                        plan.inverse(&mut got);
+                        oracle_inverse(&plan, &mut want);
+                    } else {
+                        plan.forward(&mut got);
+                        oracle_forward(&plan, &mut want);
+                    }
+                    for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                        assert!(
+                            g.re == w.re && g.im == w.im,
+                            "n={n} inverse={inverse} bin {i}: {g:?} vs {w:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -281,6 +281,16 @@ mod tests {
     }
 
     #[test]
+    fn full_width_ramp_transforms_are_two_rows_long() {
+        // The benchmark's detector widths: 2*nu points, rounded up to a
+        // power of two, hold the kept window of the 2*nu+1-tap ramp.
+        for (nu, fft_len) in [(512, 1024), (256, 512), (320, 1024)] {
+            let kernel = ramp_kernel(RampKind::RamLak, nu, 0.75);
+            assert_eq!(RowConvolver::new(nu, &kernel).fft_len(), fft_len, "nu={nu}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "width mismatch")]
     fn rejects_wrong_shape() {
         let g = geo();

@@ -135,7 +135,10 @@ pub struct DistConfig {
     pub tile: TileConfig,
     /// Worker threads per rank for filtering and the kernel.
     pub threads_per_rank: usize,
-    /// Circular-buffer capacity (projections).
+    /// Circular-buffer capacity (projections). The default, one
+    /// back-projection batch, lets the gather stage assemble the next batch
+    /// while the current one is back-projected; once filtering outpaces
+    /// back-projection, a larger ring only keeps more projections resident.
     pub ring_capacity: usize,
     /// Apply the global FDK constant before storing.
     pub apply_scale: bool,
@@ -169,7 +172,7 @@ impl DistConfig {
             batch: 32,
             tile: TileConfig::AUTO,
             threads_per_rank: 1,
-            ring_capacity: 64,
+            ring_capacity: 32,
             apply_scale: true,
             timeout: Duration::from_secs(120),
             obs: Recorder::summary(),
