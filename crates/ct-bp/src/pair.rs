@@ -167,13 +167,11 @@ pub fn stitch_pairs(dims: Dims3, pairs: &[(SlabPair, Volume)]) -> Result<Volume>
         }
         for local in 0..pair.local_nz() {
             let g = pair.global_k(local);
-            // analyze: allow(bounds, reason = "global_k maps local 0..local_nz into 0..nz by construction; the shape check above pins vd to the pair")
             if covered[g] {
                 return Err(CtError::InvalidConfig(format!(
                     "slice {g} covered by more than one slab pair"
                 )));
             }
-            // analyze: allow(bounds, reason = "same global_k invariant as the coverage check above")
             covered[g] = true;
             for j in 0..dims.ny {
                 for i in 0..dims.nx {

@@ -174,7 +174,8 @@ fn accumulate_tile<S: Sampler>(
     for (i, plane) in data.chunks_exact_mut(ny * local_nz).enumerate() {
         let ifl = (tile.i0 + i) as f32;
         for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
-            // analyze: allow(bounds, reason = "local_nz = 2 * pair.len and SlabPair::new rejects len == 0")
+            // `local_nz = 2·pair.len` and `SlabPair::new` rejects
+            // `len == 0`, so `chunks_exact` never sees 0.
             for (j, col) in plane.chunks_exact_mut(local_nz).enumerate() {
                 ColumnBatch::update_column(
                     rows_b, samplers_b, ifl, j as f32, sub.k0, vmax, &mut buf, col,
@@ -249,7 +250,7 @@ pub fn backproject_pair_tiled_reporting<S: Sampler>(
         let up = r;
         let down = 2 * pair.len - r - tile.pair.len;
         let src = vol.data();
-        // analyze: allow(bounds, reason = "sub_nz = 2 * tile.pair.len and SlabPair::new rejects len == 0")
+        // Same invariant for the sub pair: `sub_nz` is never 0.
         let mut cols = src.chunks_exact(sub_nz);
         for i in 0..tile.i_len {
             for j in 0..ny {

@@ -9,7 +9,6 @@
 //!   column group, Section 4.1.3).
 //! * [`Comm::reduce`] / [`Comm::reduce_sum_f32`] — binomial tree toward
 //!   the root (the single volume reduction per row group, Figure 4b).
-//! * [`Comm::gather`], [`Comm::scatter`], [`Comm::all_reduce_sum_f32`].
 //!
 //! Every collective is *collective*: all members must call it in the same
 //! program order. Tags are namespaced per algorithm; pairwise FIFO then
@@ -20,10 +19,8 @@ use crate::Comm;
 // Tag namespace for collective traffic (user tags live below this).
 const TAG_BARRIER: u64 = 1 << 60;
 const TAG_BCAST: u64 = 2 << 60;
-const TAG_GATHER: u64 = 3 << 60;
 const TAG_ALLGATHER: u64 = 4 << 60;
 const TAG_REDUCE: u64 = 5 << 60;
-const TAG_SCATTER: u64 = 6 << 60;
 
 impl Comm {
     /// Dissemination barrier: after it returns, every member has entered.
@@ -79,59 +76,6 @@ impl Comm {
             mask >>= 1;
         }
         v
-    }
-
-    /// Gather each member's block at `root` (rank order). Non-roots get
-    /// `None`.
-    pub fn gather<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        block: &[T],
-    ) -> Option<Vec<Vec<T>>> {
-        let p = self.size();
-        assert!(root < p, "root out of range");
-        let me = self.rank();
-        if me == root {
-            let mut out: Vec<Vec<T>> = Vec::with_capacity(p);
-            for r in 0..p {
-                if r == me {
-                    out.push(block.to_vec());
-                } else {
-                    out.push(self.recv(r, TAG_GATHER + r as u64));
-                }
-            }
-            Some(out)
-        } else {
-            self.send_vec(root, TAG_GATHER + me as u64, block.to_vec());
-            None
-        }
-    }
-
-    /// Scatter `blocks` (one per member, only meaningful at `root`) so
-    /// each member receives its own block.
-    pub fn scatter<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        blocks: Option<Vec<Vec<T>>>,
-    ) -> Vec<T> {
-        let p = self.size();
-        assert!(root < p, "root out of range");
-        let me = self.rank();
-        if me == root {
-            let blocks = blocks.expect("root must supply blocks");
-            assert_eq!(blocks.len(), p, "one block per member");
-            let mut mine = Vec::new();
-            for (r, b) in blocks.into_iter().enumerate() {
-                if r == me {
-                    mine = b;
-                } else {
-                    self.send_vec(r, TAG_SCATTER + r as u64, b);
-                }
-            }
-            mine
-        } else {
-            self.recv(root, TAG_SCATTER + me as u64)
-        }
     }
 
     /// Ring AllGather: every member contributes `block` and receives the
@@ -207,12 +151,6 @@ impl Comm {
             }
         })
     }
-
-    /// AllReduce (sum) = binomial reduce to rank 0 + binomial broadcast.
-    pub fn all_reduce_sum_f32(&self, data: &[f32]) -> Vec<f32> {
-        let reduced = self.reduce_sum_f32(0, data);
-        self.broadcast(0, reduced)
-    }
 }
 
 #[cfg(test)]
@@ -282,43 +220,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn gather_collects_rank_order() {
-        let out = Universe::run(4, |c| c.gather(2, &[c.rank() as i64])).unwrap();
-        for (r, res) in out.iter().enumerate() {
-            if r == 2 {
-                assert_eq!(
-                    res.as_deref(),
-                    Some(&[vec![0i64], vec![1], vec![2], vec![3]][..])
-                );
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_distributes_blocks() {
-        let out = Universe::run(3, |c| {
-            let blocks = if c.rank() == 0 {
-                Some(vec![vec![10u8], vec![20], vec![30]])
-            } else {
-                None
-            };
-            c.scatter(0, blocks)
-        })
-        .unwrap();
-        assert_eq!(out, vec![vec![10u8], vec![20], vec![30]]);
-    }
-
-    #[test]
-    fn all_reduce_gives_everyone_the_sum() {
-        let out = Universe::run(5, |c| c.all_reduce_sum_f32(&[c.rank() as f32])).unwrap();
-        for v in out {
-            assert_eq!(v, vec![10.0]);
         }
     }
 

@@ -10,8 +10,6 @@
 //! result-crate ct-obs               # determinism-checked crate
 //! alloc-root ct_bp::warp::Sampler    # alloc-reachability root (prefix)
 //! blocking ct_sync::ring::RingBuffer::push # blocking fn (prefix)
-//! float-root ct_bp::lanes            # strict-mode FMA-gate root (prefix)
-//! bounds-root ct_sync::ring          # index-bounds hot root (prefix)
 //! ```
 
 use std::collections::BTreeMap;
@@ -31,13 +29,6 @@ pub struct Config {
     /// thread (ring/channel ops, condvar waits, parallel-fs I/O); the
     /// lock-discipline pass flags calls into them under a live guard.
     pub blocking: Vec<String>,
-    /// Qualified-name prefixes of strict-mode kernel entry points:
-    /// everything reachable must keep `mul_add` behind the FMA gate
-    /// (float-determinism pass).
-    pub float_roots: Vec<String>,
-    /// Qualified-name prefixes of hot kernels whose slice indexing the
-    /// interval analysis must prove in bounds (index-bounds pass).
-    pub bounds_roots: Vec<String>,
     /// Where the config was read from (for diagnostics).
     pub path: std::path::PathBuf,
 }
@@ -57,8 +48,6 @@ impl Config {
             result_crates: Vec::new(),
             alloc_roots: Vec::new(),
             blocking: Vec::new(),
-            float_roots: Vec::new(),
-            bounds_roots: Vec::new(),
             path,
         };
         for (idx, raw) in text.lines().enumerate() {
@@ -86,8 +75,6 @@ impl Config {
                 "result-crate" => conf.result_crates.push(rest.to_string()),
                 "alloc-root" => conf.alloc_roots.push(rest.to_string()),
                 "blocking" => conf.blocking.push(rest.to_string()),
-                "float-root" => conf.float_roots.push(rest.to_string()),
-                "bounds-root" => conf.bounds_roots.push(rest.to_string()),
                 other => {
                     return Err(format!(
                         "{}:{}: unknown directive {other:?}",
@@ -115,8 +102,7 @@ mod tests {
         std::fs::write(
             dir.join("ci/analyze.conf"),
             "# comment\nroot ct_bp::tiled\nlayer ct-bp: ct-core ct-obs\nlayer ct-obs:\nresult-crate ct-obs\n\
-             alloc-root ct_bp::warp\nblocking ct_sync::ring::RingBuffer::push\n\
-             float-root ct_bp::lanes\nbounds-root ct_sync::ring\n",
+             alloc-root ct_bp::warp\nblocking ct_sync::ring::RingBuffer::push\n",
         )
         .expect("write conf");
         let conf = Config::load(&dir).expect("conf loads");
@@ -129,8 +115,6 @@ mod tests {
         assert_eq!(conf.result_crates, vec!["ct-obs"]);
         assert_eq!(conf.alloc_roots, vec!["ct_bp::warp"]);
         assert_eq!(conf.blocking, vec!["ct_sync::ring::RingBuffer::push"]);
-        assert_eq!(conf.float_roots, vec!["ct_bp::lanes"]);
-        assert_eq!(conf.bounds_roots, vec!["ct_sync::ring"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

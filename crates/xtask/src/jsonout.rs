@@ -2,12 +2,12 @@
 //! `ct_obs::jsonw`: the schema is small and versioned, fields appear in
 //! call order, strings are escaped to pure ASCII.
 //!
-//! Document shape, schema `ifdk-analyze/v2` (v1 plus per-pass stats and
-//! the elidable checked-gather report from the interval analysis):
+//! Document shape, schema `ifdk-analyze/v3` (findings plus per-pass
+//! finding counts and wall time):
 //!
 //! ```json
 //! {
-//!   "schema": "ifdk-analyze/v2",
+//!   "schema": "ifdk-analyze/v3",
 //!   "subcommand": "analyze",
 //!   "clean": false,
 //!   "count": 2,
@@ -16,26 +16,20 @@
 //!      "message": "..."}
 //!   ],
 //!   "passes": [
-//!     {"name": "index-bounds", "findings": 1, "wall_ms": 3.2,
-//!      "stats": [{"name": "cfg_blocks", "value": 412}]}
-//!   ],
-//!   "elidable_gathers": 1,
-//!   "gathers": [
-//!     {"path": "crates/x/src/a.rs", "line": 9, "fn": "ct_bp::warp::row",
-//!      "what": "`tex.get(i)`", "loop_depth": 2}
+//!     {"name": "lock-discipline", "findings": 1, "wall_ms": 3.2}
 //!   ]
 //! }
 //! ```
 //!
-//! Errors (exit 3) become `{"schema": "ifdk-analyze/v2", "error": "..."}`
+//! Errors (exit 3) become `{"schema": "ifdk-analyze/v3", "error": "..."}`
 //! so CI consumers always parse one object per run.
 
-use crate::passes::{AnalyzeReport, Gather, PassReport};
+use crate::passes::{AnalyzeReport, PassReport};
 use crate::rules::Violation;
 use ct_obs::jsonw::{arr, Obj};
 use std::path::Path;
 
-pub const SCHEMA: &str = "ifdk-analyze/v2";
+pub const SCHEMA: &str = "ifdk-analyze/v3";
 
 /// Render a finished analyze run.
 pub fn findings_doc(what: &str, report: &AnalyzeReport) -> String {
@@ -45,9 +39,7 @@ pub fn findings_doc(what: &str, report: &AnalyzeReport) -> String {
         .field_bool("clean", report.violations.is_empty())
         .field_u64("count", report.violations.len() as u64)
         .field_raw("findings", &arr(report.violations.iter().map(finding)))
-        .field_raw("passes", &arr(report.passes.iter().map(pass)))
-        .field_u64("elidable_gathers", report.gathers.len() as u64)
-        .field_raw("gathers", &arr(report.gathers.iter().map(gather)));
+        .field_raw("passes", &arr(report.passes.iter().map(pass)));
     o.finish() + "\n"
 }
 
@@ -65,26 +57,10 @@ fn finding(v: &Violation) -> String {
 }
 
 fn pass(p: &PassReport) -> String {
-    let stats = arr(p.stats.iter().map(|(name, value)| {
-        let mut o = Obj::new();
-        o.field_str("name", name).field_u64("value", *value);
-        o.finish()
-    }));
     let mut o = Obj::new();
     o.field_str("name", p.name)
         .field_u64("findings", p.findings as u64)
-        .field_f64("wall_ms", p.wall_ms)
-        .field_raw("stats", &stats);
-    o.finish()
-}
-
-fn gather(g: &Gather) -> String {
-    let mut o = Obj::new();
-    o.field_str("path", &slashed(&g.path))
-        .field_u64("line", g.line as u64)
-        .field_str("fn", &g.qual)
-        .field_str("what", &g.what)
-        .field_u64("loop_depth", g.depth as u64);
+        .field_f64("wall_ms", p.wall_ms);
     o.finish()
 }
 
@@ -104,7 +80,6 @@ mod tests {
         AnalyzeReport {
             violations: Vec::new(),
             passes: Vec::new(),
-            gathers: Vec::new(),
         }
     }
 
@@ -113,9 +88,8 @@ mod tests {
         let doc = findings_doc("analyze", &empty_report());
         assert_eq!(
             doc,
-            "{\"schema\":\"ifdk-analyze/v2\",\"subcommand\":\"analyze\",\
-             \"clean\":true,\"count\":0,\"findings\":[],\"passes\":[],\
-             \"elidable_gathers\":0,\"gathers\":[]}\n"
+            "{\"schema\":\"ifdk-analyze/v3\",\"subcommand\":\"analyze\",\
+             \"clean\":true,\"count\":0,\"findings\":[],\"passes\":[]}\n"
         );
     }
 
@@ -140,34 +114,21 @@ mod tests {
     }
 
     #[test]
-    fn passes_and_gathers_are_emitted() {
+    fn passes_are_emitted_in_order() {
         let mut report = empty_report();
-        report.passes.push(PassReport {
-            name: "index-bounds",
-            findings: 1,
-            wall_ms: 3.25,
-            stats: vec![("cfg_blocks".to_string(), 412)],
-        });
-        report.gathers.push(Gather {
-            path: PathBuf::from("crates/x/src/a.rs"),
-            line: 9,
-            qual: "ct_bp::warp::row".to_string(),
-            what: "`tex.get(i)`".to_string(),
-            depth: 2,
-        });
+        for (name, findings, wall_ms) in [("panic-reachable", 0, 1.5), ("lock-discipline", 1, 3.25)]
+        {
+            report.passes.push(PassReport {
+                name,
+                findings,
+                wall_ms,
+            });
+        }
         let doc = findings_doc("analyze", &report);
         assert!(
             doc.contains(
-                "{\"name\":\"index-bounds\",\"findings\":1,\"wall_ms\":3.25,\
-                 \"stats\":[{\"name\":\"cfg_blocks\",\"value\":412}]}"
-            ),
-            "{doc}"
-        );
-        assert!(doc.contains("\"elidable_gathers\":1"), "{doc}");
-        assert!(
-            doc.contains(
-                "{\"path\":\"crates/x/src/a.rs\",\"line\":9,\"fn\":\"ct_bp::warp::row\",\
-                 \"what\":\"`tex.get(i)`\",\"loop_depth\":2}"
+                "\"passes\":[{\"name\":\"panic-reachable\",\"findings\":0,\"wall_ms\":1.5},\
+                 {\"name\":\"lock-discipline\",\"findings\":1,\"wall_ms\":3.25}]}"
             ),
             "{doc}"
         );
@@ -177,7 +138,7 @@ mod tests {
     fn error_doc_is_one_object() {
         let doc = error_doc("read ci/analyze.conf: not found");
         assert!(
-            doc.starts_with("{\"schema\":\"ifdk-analyze/v2\",\"error\":"),
+            doc.starts_with("{\"schema\":\"ifdk-analyze/v3\",\"error\":"),
             "{doc}"
         );
     }

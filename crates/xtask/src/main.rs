@@ -8,25 +8,26 @@
 //!   See [`rules`] for the rule table.
 //! * `analyze` — the static analyzer: a recursive-descent item parser
 //!   ([`parser`]) over the masking lexer, a conservative workspace call
-//!   graph ([`callgraph`]), a per-function control-flow graph ([`cfg`])
-//!   with a forward fixpoint solver ([`dataflow`]), and seven passes
-//!   ([`passes`]): panic-reachability from the back-projection hot-path
-//!   roots, crate-layering DAG checks, hash-order determinism lints,
-//!   lock-discipline (order cycles, blocking under a guard, condvar
-//!   waits without a re-check loop) over the guard scopes extracted by
-//!   [`guards`], allocation-reachability from the `alloc-root` entries,
-//!   float-determinism (order-sensitive reductions, ungated FMA) from
-//!   the `float-root` entries, and index-bounds interval analysis from
-//!   the `bounds-root` entries. After the passes run, every
+//!   graph ([`callgraph`]), and five passes ([`passes`]):
+//!   panic-reachability from the hot-path `root` entries, crate-layering
+//!   DAG checks, hash-order determinism lints over the `result-crate`
+//!   entries, lock discipline (order cycles, blocking under a guard,
+//!   condvar waits without a re-check loop) over the guard scopes
+//!   extracted by [`guards`], and allocation-reachability from the
+//!   `alloc-root` entries. After the passes run, every
 //!   `analyze: allow(..)` / `lint: allow(..)` escape that no longer
 //!   suppresses a finding is reported as `stale-allow`. Roots, blocking
 //!   prefixes and the declared layering live in `ci/analyze.conf`;
 //!   `--roots a,b` overrides the roots for ad-hoc queries, `--dir
 //!   <path>` analyzes another tree (used by CI to assert the
 //!   negative-control fixtures still fail), `--format json` emits the
-//!   `ifdk-analyze/v2` findings document for CI artifacts, and
+//!   `ifdk-analyze/v3` findings document for CI artifacts, and
 //!   `--record <path>` appends per-pass wall time to an `ifdk-run/v1`
 //!   JSONL trajectory.
+//!
+//! Float rules live outside the analyzer: the root `clippy.toml` bans
+//! `f32::mul_add` / `f64::mul_add` workspace-wide, and the bitwise
+//! equivalence tests referee summation order.
 //!
 //! Exit codes follow the repo's gate contract for both subcommands:
 //! 0 = clean, 1 = violations found, 3 = usage / internal error.
@@ -34,9 +35,7 @@
 #![forbid(unsafe_code)]
 
 mod callgraph;
-mod cfg;
 mod config;
-mod dataflow;
 mod guards;
 mod jsonout;
 mod lexer;
@@ -112,7 +111,7 @@ fn report(what: &str, result: Result<Vec<Violation>, String>) -> ExitCode {
     }
 }
 
-/// `--format json`: one `ifdk-analyze/v2` object on stdout, same exit
+/// `--format json`: one `ifdk-analyze/v3` object on stdout, same exit
 /// codes as the text reporter (CI archives the document as an artifact
 /// while the exit code still gates the job).
 fn report_json(what: &str, result: Result<passes::AnalyzeReport, String>) -> ExitCode {
@@ -419,53 +418,24 @@ mod tests {
         assert!(
             rendered
                 .iter()
-                .any(|v| v.contains("[float-order]") && v.contains("demo_f::merge::total")),
-            "seeded hash-order float reduction not caught: {rendered:?}"
-        );
-        assert!(
-            rendered
-                .iter()
-                .any(|v| v.contains("[float-fma]") && v.contains("demo_f::kernel::blend")),
-            "seeded ungated mul_add not caught: {rendered:?}"
-        );
-        assert!(
-            rendered
-                .iter()
-                .any(|v| v.contains("[index-bounds]") && v.contains("demo_g::kernel::shifted_sum")),
-            "seeded off-by-one hot-loop index not caught: {rendered:?}"
-        );
-        assert!(
-            rendered
-                .iter()
-                .any(|v| v.contains("[stale-allow]") && v.contains("demo-f")),
+                .any(|v| v.contains("[stale-allow]") && v.contains("demo-b")),
             "seeded stale escape not caught: {rendered:?}"
         );
     }
 
     #[test]
-    fn negative_control_reports_pass_stats_and_gathers() {
+    fn negative_control_reports_five_passes() {
         let report = analyze(&negative_fixture(), None).expect("analyze runs");
-        assert_eq!(report.passes.len(), 7, "seven passes must report");
-        let bounds = report
-            .passes
-            .iter()
-            .find(|p| p.name == "index-bounds")
-            .expect("index-bounds pass reports");
-        assert!(
-            bounds
-                .stats
-                .iter()
-                .any(|(n, v)| n == "cfg_blocks" && *v > 0),
-            "{:?}",
-            bounds.stats
-        );
-        // demo-g's proven `.get` gather feeds the elidable report.
-        assert!(
-            report
-                .gathers
-                .iter()
-                .any(|g| g.qual.starts_with("demo_g::") && g.what.contains(".get(")),
-            "proven checked gather missing from the report"
+        let names: Vec<&str> = report.passes.iter().map(|p| p.name).collect();
+        assert_eq!(
+            names,
+            [
+                "panic-reachable",
+                "layering",
+                "determinism",
+                "lock-discipline",
+                "alloc-reachable"
+            ]
         );
     }
 

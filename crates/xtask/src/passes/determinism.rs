@@ -45,7 +45,6 @@ impl Pass for Determinism {
             if tracked.is_empty() {
                 continue;
             }
-            out.stat("files_scanned", 1);
             for (idx, text) in file.lexed.masked.lines().enumerate() {
                 let line = idx + 1;
                 if file.test_lines.get(line).copied().unwrap_or(false) {
@@ -79,7 +78,7 @@ impl Pass for Determinism {
 /// Identifiers bound to a `HashMap`/`HashSet` anywhere in the file:
 /// `let m = HashMap::new()`, `let m: HashMap<..>`, struct fields and
 /// params `m: HashMap<..>`.
-pub(crate) fn tracked_idents(masked: &str) -> BTreeSet<String> {
+fn tracked_idents(masked: &str) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for text in masked.lines() {
         for marker in ["HashMap", "HashSet"] {
@@ -117,7 +116,7 @@ pub(crate) fn tracked_idents(masked: &str) -> BTreeSet<String> {
 }
 
 /// If `text` consumes `ident` in iteration order, name the consumer.
-pub(crate) fn order_dependent_use(text: &str, ident: &str) -> Option<String> {
+fn order_dependent_use(text: &str, ident: &str) -> Option<String> {
     let mut from = 0usize;
     while let Some(p) = text[from..].find(ident) {
         let at = from + p;

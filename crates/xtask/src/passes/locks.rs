@@ -423,8 +423,6 @@ mod tests {
             layers: BTreeMap::new(),
             result_crates: Vec::new(),
             alloc_roots: Vec::new(),
-            float_roots: Vec::new(),
-            bounds_roots: Vec::new(),
             blocking: blocking.iter().map(|s| s.to_string()).collect(),
             path: dir.join("ci/analyze.conf"),
         };

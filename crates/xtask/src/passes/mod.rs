@@ -1,14 +1,13 @@
 //! The analysis-pass framework behind `cargo xtask analyze`.
 //!
 //! A [`Pass`] sees the loaded [`Workspace`], the shared [`CallGraph`]
-//! and the declared [`Config`], and fills a [`PassOutput`]: violations,
-//! per-pass stats (CFG blocks lowered, solver iterations, accesses
-//! classified), the elidable checked-gather report, and the set of
-//! escape directives that actually suppressed something. Passes are
-//! independent, so [`run_all`] runs each on its own scoped thread and
-//! merges the outputs deterministically (registration order, then the
-//! location sort) — the same reporting contract as `xtask lint`, with
-//! per-pass wall time kept for `--record` and the JSON document.
+//! and the declared [`Config`], and fills a [`PassOutput`]: violations
+//! and the set of escape directives that actually suppressed something.
+//! Passes are independent, so [`run_all`] runs each on its own scoped
+//! thread and merges the outputs deterministically (registration order,
+//! then the location sort) — the same reporting contract as `xtask
+//! lint`, with per-pass wall time kept for `--record` and the JSON
+//! document.
 //!
 //! After the passes finish, `run_all` audits the escape directives:
 //! an `analyze: allow(..)` no pass consumed is dead weight that will
@@ -17,9 +16,7 @@
 //! (narrowed reachability would make honest escapes look dead).
 
 pub mod alloc;
-pub mod bounds;
 pub mod determinism;
-pub mod floatdet;
 pub mod layering;
 pub mod locks;
 pub mod panics;
@@ -40,17 +37,6 @@ pub struct Analysis<'a> {
     pub audit_escapes: bool,
 }
 
-/// One entry in the elidable checked-gather report: a `.get`-based
-/// access the analyzer proved in bounds — a candidate for unchecked
-/// (slice-pattern or iterator) restructuring, ranked by loop depth.
-pub struct Gather {
-    pub path: PathBuf,
-    pub line: usize,
-    pub qual: String,
-    pub what: String,
-    pub depth: usize,
-}
-
 /// Everything one pass produced.
 #[derive(Default)]
 pub struct PassOutput {
@@ -59,20 +45,9 @@ pub struct PassOutput {
     /// pass key as written). Anything not in here after all passes ran
     /// is stale.
     pub used_escapes: BTreeSet<(PathBuf, usize, String)>,
-    /// Accumulated counters, shown per pass in the JSON document.
-    pub stats: Vec<(String, u64)>,
-    pub gathers: Vec<Gather>,
 }
 
 impl PassOutput {
-    pub fn stat(&mut self, name: &str, add: u64) {
-        if let Some(s) = self.stats.iter_mut().find(|(n, _)| n == name) {
-            s.1 += add;
-        } else {
-            self.stats.push((name.to_string(), add));
-        }
-    }
-
     /// Record that the directive at (`path`, `line`) for `pass` matched
     /// a finding (suppressed or malformed — either way it is live).
     pub fn used(&mut self, path: &Path, line: usize, pass: &str) {
@@ -81,19 +56,17 @@ impl PassOutput {
     }
 }
 
-/// Per-pass summary surfaced in the v2 JSON document and `--record`.
+/// Per-pass summary surfaced in the JSON document and `--record`.
 pub struct PassReport {
     pub name: &'static str,
     pub findings: usize,
     pub wall_ms: f64,
-    pub stats: Vec<(String, u64)>,
 }
 
 /// The combined result of one analyzer run.
 pub struct AnalyzeReport {
     pub violations: Vec<Violation>,
     pub passes: Vec<PassReport>,
-    pub gathers: Vec<Gather>,
 }
 
 pub trait Pass: Sync {
@@ -108,8 +81,6 @@ pub fn default_passes() -> Vec<Box<dyn Pass>> {
         Box::new(determinism::Determinism),
         Box::new(locks::LockDiscipline),
         Box::new(alloc::AllocReachability),
-        Box::new(floatdet::FloatDeterminism),
-        Box::new(bounds::IndexBounds),
     ]
 }
 
@@ -119,8 +90,6 @@ const ESCAPE_ALIASES: &[(&str, &str)] = &[
     ("panic", "panic-reachable"),
     ("lock", "lock-discipline"),
     ("alloc", "alloc-reachable"),
-    ("float", "float-determinism"),
-    ("bounds", "index-bounds"),
 ];
 
 fn known_escape_key(passes: &[Box<dyn Pass>], key: &str) -> bool {
@@ -168,17 +137,14 @@ pub fn run_all(cx: &Analysis<'_>) -> AnalyzeReport {
 
     let mut reports = Vec::new();
     let mut used: BTreeSet<(PathBuf, usize, String)> = BTreeSet::new();
-    let mut gathers = Vec::new();
     for (pass, (out, wall_ms)) in passes.iter().zip(timed) {
         reports.push(PassReport {
             name: pass.name(),
             findings: out.violations.len(),
             wall_ms,
-            stats: out.stats,
         });
         violations.extend(out.violations);
         used.extend(out.used_escapes);
-        gathers.extend(out.gathers);
     }
 
     if cx.audit_escapes {
@@ -203,17 +169,8 @@ pub fn run_all(cx: &Analysis<'_>) -> AnalyzeReport {
     }
 
     violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    // Elidable gathers ranked hottest (deepest loop) first.
-    gathers.sort_by(|a, b| {
-        (std::cmp::Reverse(a.depth), &a.path, a.line).cmp(&(
-            std::cmp::Reverse(b.depth),
-            &b.path,
-            b.line,
-        ))
-    });
     AnalyzeReport {
         violations,
         passes: reports,
-        gathers,
     }
 }

@@ -56,7 +56,6 @@ mod tests {
             name,
             findings,
             wall_ms,
-            stats: Vec::new(),
         }
     }
 
