@@ -283,11 +283,10 @@ impl Sampler for LaneSampler<'_> {
     }
 }
 
-/// Full-volume batched back-projection over transposed projections —
-/// the entry the single-node pipelines call:
-/// [`backproject_pair_batch_reporting`] on [`SlabPair::full`], reports
-/// dropped. `dims.nz` must be even.
-#[allow(clippy::too_many_arguments)] // backproject_pair_batch_reporting less the pair
+/// Full-volume batched back-projection over transposed projections into
+/// a fresh volume: [`backproject_pair_batch_reporting`] on
+/// [`SlabPair::full`], reports dropped. `dims.nz` must be even.
+#[allow(clippy::too_many_arguments)] // backproject_pair_batch_reporting less the pair and out
 pub fn backproject_batch(
     pool: &Pool,
     kernel: KernelImpl,
@@ -298,16 +297,19 @@ pub fn backproject_batch(
     batch: usize,
     tile: TileConfig,
 ) -> Volume {
-    let Some(pair) = full_pair(dims) else {
-        return Volume::zeros(dims, VolumeLayout::KMajor);
-    };
-    backproject_pair_batch_reporting(pool, kernel, mats, projs, nv, dims, pair, batch, tile).0
+    let mut out = Volume::zeros(dims, VolumeLayout::KMajor);
+    if let Some(pair) = full_pair(dims) {
+        backproject_pair_batch_reporting(
+            pool, kernel, mats, projs, nv, dims, pair, batch, tile, &mut out,
+        );
+    }
+    out
 }
 
-/// Slab-pair back-projection through the driver, with its tile reports
-/// (the distributed pipeline's span attribution). Both kernels share the
-/// driver — [`KernelImpl`] only picks the sampler the column sweep runs —
-/// and are bit-identical.
+/// Slab-pair back-projection through the driver, added into `out` (the
+/// k-major pair volume), with its tile reports for span attribution. Both
+/// kernels share the driver — [`KernelImpl`] only picks the sampler the
+/// column sweep runs — and are bit-identical.
 #[allow(clippy::too_many_arguments)] // mirrors backproject_pair_tiled_reporting + kernel
 pub fn backproject_pair_batch_reporting(
     pool: &Pool,
@@ -319,14 +321,15 @@ pub fn backproject_pair_batch_reporting(
     pair: SlabPair,
     batch: usize,
     tile: TileConfig,
-) -> (Volume, Vec<TileReport>) {
+    out: &mut Volume,
+) -> Vec<TileReport> {
     match kernel {
         KernelImpl::Scalar => {
-            backproject_pair_tiled_reporting(pool, mats, projs, nv, dims, pair, batch, tile)
+            backproject_pair_tiled_reporting(pool, mats, projs, nv, dims, pair, batch, tile, out)
         }
         KernelImpl::Lanes => {
-            let samplers = LaneSampler::wrap(projs);
-            backproject_pair_tiled_reporting(pool, mats, &samplers, nv, dims, pair, batch, tile)
+            let lanes = LaneSampler::wrap(projs);
+            backproject_pair_tiled_reporting(pool, mats, &lanes, nv, dims, pair, batch, tile, out)
         }
     }
 }
@@ -513,7 +516,9 @@ mod tests {
                 TileConfig::AUTO,
             );
             assert_eq!(v.data(), reference.data(), "driver x{threads}");
-            let (slab, _) = backproject_pair_batch_reporting(
+            let local = Dims3::new(geo.volume.nx, geo.volume.ny, pair.local_nz());
+            let mut slab = Volume::zeros(local, VolumeLayout::KMajor);
+            backproject_pair_batch_reporting(
                 &pool,
                 KernelImpl::Lanes,
                 &mats,
@@ -523,6 +528,7 @@ mod tests {
                 pair,
                 WARP_BATCH,
                 TileConfig::AUTO,
+                &mut slab,
             );
             assert_is_slab_of_reference(&slab, &format!("driver x{threads}"));
         }
@@ -553,11 +559,12 @@ mod tests {
         let nv = stack.dims().nv;
         let pair = SlabPair::new(16, 2, 5).unwrap();
         let run = |pool: &Pool, kernel| {
-            let tile = TileConfig::AUTO;
+            let (tile, local) = (TileConfig::AUTO, Dims3::new(16, 16, pair.local_nz()));
+            let mut out = Volume::zeros(local, VolumeLayout::KMajor);
             backproject_pair_batch_reporting(
-                pool, kernel, &mats, &refs, nv, geo.volume, pair, WARP_BATCH, tile,
-            )
-            .0
+                pool, kernel, &mats, &refs, nv, geo.volume, pair, WARP_BATCH, tile, &mut out,
+            );
+            out
         };
         let scalar = run(&Pool::serial(), KernelImpl::Scalar);
         let lanes = run(&Pool::new(2), KernelImpl::Lanes);

@@ -25,8 +25,8 @@
 //! * [`tiled`] — **the driver** every pipeline and batched variant runs:
 //!   a slab pair is partitioned into i-blocks crossed with sub slab
 //!   pairs, tiles are dispatched over [`ct_par::Pool`] with per-tile
-//!   private output, and the assembled result is bit-identical at any
-//!   thread count and tile shape.
+//!   private output added into the caller's pair volume in tile order:
+//!   bit-identical at any thread count and tile shape.
 //! * [`pair`] — the symmetric slab pair, the unit of output decomposition
 //!   in the distributed framework (each row of ranks owns a slab and its
 //!   mirror — the `2*R` sub-volumes of the paper's Figure 3), and the

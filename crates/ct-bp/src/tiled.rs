@@ -12,12 +12,12 @@
 //!
 //! Every tile owns a private output volume, so threads never share an
 //! output cache line, and each voxel is accumulated by exactly one tile
-//! in a fixed projection order: the assembled result is **bit-identical**
-//! for every thread count and tile shape, and bit-identical to the
-//! untiled reference loop [`crate::pair::backproject_pair_with`] (both
-//! run `ColumnBatch::update_column`). The per-tile wall-clock
-//! intervals are reported back so the caller can attribute them to
-//! observability spans (tile-level load balance in traces).
+//! in a fixed projection order, then added into the caller's pair volume
+//! in tile order: into zeros (a tile voxel is never `-0.0`) the result is
+//! **bit-identical** for every thread count and tile shape, and to the
+//! untiled reference loop [`crate::pair::backproject_pair_with`] (both run
+//! `ColumnBatch::update_column`). Per-tile wall-clock intervals are
+//! reported back for observability spans (tile-level load balance).
 
 use crate::pair::{full_pair, SlabPair};
 use crate::warp::{ColumnBatch, Sampler, SweepBuffers, WARP_BATCH};
@@ -133,8 +133,8 @@ pub fn partition_pairs(pair: SlabPair, parts: usize) -> Result<Vec<SlabPair>> {
 }
 
 /// Enumerate the tiles of a resolved configuration, sub pair major (all
-/// i-blocks of sub pair 0 first). The order is the assembly order and is
-/// independent of thread count.
+/// i-blocks of sub pair 0 first). The order is the order tiles are added
+/// into the output and is independent of thread count.
 pub fn tiles_for(dims: Dims3, pair: SlabPair, i_block: usize, parts: usize) -> Result<Vec<Tile>> {
     let subs = partition_pairs(pair, parts)?;
     let mut tiles = Vec::new();
@@ -188,13 +188,13 @@ fn accumulate_tile<S: Sampler>(
 
 /// Tiled, thread-parallel version of
 /// [`crate::pair::backproject_pair_with`]: back-project one slab pair by
-/// dispatching its tiles over the pool, then assemble the tile volumes
-/// into the pair volume in tile order. Also returns one [`TileReport`]
-/// per tile (in tile order) for span attribution.
+/// dispatching its tiles over the pool, then add the tiles in tile order
+/// into `out`, the k-major `(nx, ny, 2*len)` pair volume. Returns one
+/// [`TileReport`] per tile (in tile order) for span attribution.
 ///
-/// The result is bit-identical to `backproject_pair_with` for every
-/// thread count and tile shape.
-#[allow(clippy::too_many_arguments)] // mirrors backproject_pair_with + cfg
+/// Into a zeroed `out` the result is bit-identical to
+/// `backproject_pair_with` for every thread count and tile shape.
+#[allow(clippy::too_many_arguments)] // mirrors backproject_pair_with + cfg + out
 pub fn backproject_pair_tiled_reporting<S: Sampler>(
     pool: &Pool,
     mats: &[ProjectionMatrix],
@@ -204,7 +204,8 @@ pub fn backproject_pair_tiled_reporting<S: Sampler>(
     pair: SlabPair,
     batch: usize,
     cfg: TileConfig,
-) -> (Volume, Vec<TileReport>) {
+    out: &mut Volume,
+) -> Vec<TileReport> {
     // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
     assert_eq!(mats.len(), samplers.len(), "one matrix per projection");
     // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
@@ -212,6 +213,14 @@ pub fn backproject_pair_tiled_reporting<S: Sampler>(
     // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
     assert!((1..=WARP_BATCH).contains(&batch), "batch must be in 1..=32");
     let ny = dims.ny;
+    let local_nz = pair.local_nz();
+    let pair_volume = (Dims3::new(dims.nx, ny, local_nz), VolumeLayout::KMajor);
+    // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
+    assert_eq!(
+        (out.dims(), out.layout()),
+        pair_volume,
+        "out must be the pair volume"
+    );
     let (i_block, parts) = cfg.resolve(dims, pair, pool.threads());
     let tiles = tiles_for(dims, pair, i_block, parts)
         // analyze: allow(panic, reason = "resolve() clamps i_block and parts into the range tiles_for accepts")
@@ -235,39 +244,32 @@ pub fn backproject_pair_tiled_reporting<S: Sampler>(
         ))
     });
 
-    // Assemble sequentially in tile order; every destination voxel is
-    // written exactly once.
-    let local_nz = pair.local_nz();
-    let mut out = Volume::zeros(Dims3::new(dims.nx, ny, local_nz), VolumeLayout::KMajor);
+    // Add sequentially in tile order; every destination voxel receives
+    // exactly one tile voxel.
     let data = out.data_mut();
     let mut reports = Vec::with_capacity(tiles.len());
     for (vol, report) in pieces.into_iter().flatten() {
         let tile = report.tile;
-        let sub_nz = tile.pair.local_nz();
-        let r = tile.pair.k0 - pair.k0;
-        // Destination offsets of the sub pair's two slabs inside the
-        // pair-local column (both runs are contiguous and ascending).
-        let up = r;
-        let down = 2 * pair.len - r - tile.pair.len;
-        let src = vol.data();
-        // Same invariant for the sub pair: `sub_nz` is never 0.
-        let mut cols = src.chunks_exact(sub_nz);
+        let (len, r) = (tile.pair.len, tile.pair.k0 - pair.k0);
+        // Same invariant for the sub pair: its `local_nz()` is never 0.
+        let mut cols = vol.data().chunks_exact(tile.pair.local_nz());
         for i in 0..tile.i_len {
             for j in 0..ny {
                 let Some(col) = cols.next() else { break };
-                let (col_up, col_down) = col.split_at(tile.pair.len);
                 let dst0 = ((tile.i0 + i) * ny + j) * local_nz;
-                if let Some(dst) = data.get_mut(dst0 + up..dst0 + up + tile.pair.len) {
-                    dst.copy_from_slice(col_up);
-                }
-                if let Some(dst) = data.get_mut(dst0 + down..dst0 + down + tile.pair.len) {
-                    dst.copy_from_slice(col_down);
+                // The sub pair's two slabs sit at these offsets of the
+                // pair-local column, both contiguous and ascending.
+                let (col_up, col_down) = col.split_at(len);
+                for (at, src) in [(r, col_up), (2 * pair.len - r - len, col_down)] {
+                    if let Some(dst) = data.get_mut(dst0 + at..dst0 + at + len) {
+                        dst.iter_mut().zip(src).for_each(|(d, s)| *d += *s);
+                    }
                 }
             }
         }
         reports.push(report);
     }
-    (out, reports)
+    reports
 }
 
 /// Full-volume tiled back-projection with any sampler set: the single
@@ -283,10 +285,13 @@ pub fn backproject_tiled_with<S: Sampler>(
     batch: usize,
     cfg: TileConfig,
 ) -> Volume {
-    let Some(pair) = full_pair(dims) else {
-        return Volume::zeros(dims, VolumeLayout::KMajor);
-    };
-    backproject_pair_tiled_reporting(pool, mats, samplers, nv, dims, pair, batch, cfg).0
+    let mut out = Volume::zeros(dims, VolumeLayout::KMajor);
+    if let Some(pair) = full_pair(dims) {
+        backproject_pair_tiled_reporting(
+            pool, mats, samplers, nv, dims, pair, batch, cfg, &mut out,
+        );
+    }
+    out
 }
 
 #[cfg(test)]
@@ -429,7 +434,8 @@ mod tests {
             pair,
             WARP_BATCH,
         );
-        let (tiled, _) = backproject_pair_tiled_reporting(
+        let mut tiled = Volume::zeros(untiled.dims(), VolumeLayout::KMajor);
+        backproject_pair_tiled_reporting(
             &Pool::new(2),
             &mats,
             &transposed,
@@ -441,6 +447,7 @@ mod tests {
                 i_block: 7,
                 slab_pairs: 2,
             },
+            &mut tiled,
         );
         assert_eq!(tiled.data(), untiled.data());
     }
@@ -454,7 +461,8 @@ mod tests {
             i_block: 2,
             slab_pairs: 2,
         };
-        let (_, reports) = backproject_pair_tiled_reporting(
+        let mut out = Volume::zeros(Dims3::new(8, 8, pair.local_nz()), VolumeLayout::KMajor);
+        let reports = backproject_pair_tiled_reporting(
             &Pool::new(3),
             &mats,
             &transposed,
@@ -463,6 +471,7 @@ mod tests {
             pair,
             WARP_BATCH,
             cfg,
+            &mut out,
         );
         let tiles = tiles_for(geo.volume, pair, 2, 2).unwrap();
         assert_eq!(reports.len(), tiles.len());

@@ -216,21 +216,6 @@ impl Volume {
         Ok(out)
     }
 
-    /// Element-wise sum with another volume of identical shape and layout —
-    /// the local operation inside the framework's `MPI_Reduce` step.
-    pub fn accumulate(&mut self, other: &Volume) -> Result<()> {
-        if self.dims != other.dims || self.layout != other.layout {
-            return Err(CtError::ShapeMismatch {
-                expected: format!("{:?}/{:?}", self.dims, self.layout),
-                actual: format!("{:?}/{:?}", other.dims, other.layout),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += *b;
-        }
-        Ok(())
-    }
-
     /// Scale every voxel by `s` (used for the FDK angular weighting).
     pub fn scale(&mut self, s: f32) {
         for v in &mut self.data {
@@ -368,21 +353,6 @@ mod tests {
             }
             assert!(v.slice_xy(2).is_err());
         }
-    }
-
-    #[test]
-    fn accumulate_adds_and_checks_shape() {
-        let mut a = Volume::zeros(Dims3::cube(2), VolumeLayout::IMajor);
-        let mut b = Volume::zeros(Dims3::cube(2), VolumeLayout::IMajor);
-        a.set(0, 0, 0, 1.0);
-        b.set(0, 0, 0, 2.0);
-        a.accumulate(&b).unwrap();
-        assert_eq!(a.get(0, 0, 0), 3.0);
-
-        let c = Volume::zeros(Dims3::cube(3), VolumeLayout::IMajor);
-        assert!(a.accumulate(&c).is_err());
-        let d = Volume::zeros(Dims3::cube(2), VolumeLayout::KMajor);
-        assert!(a.accumulate(&d).is_err());
     }
 
     #[test]

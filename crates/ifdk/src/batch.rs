@@ -1,7 +1,7 @@
 //! The one batch step every pipeline shares: back-project a batch of
-//! filtered projections into a slab pair through the driver and add it
-//! to the running sub-volume. Single-node pipelines run it on the pair
-//! that covers the whole volume; a distributed rank on its row's pair.
+//! filtered projections through the driver, which adds it straight into
+//! the running sub-volume of a slab pair. Single-node doors run it on the
+//! pair that covers the whole volume; a distributed rank on its row's pair.
 
 use ct_bp::lanes::backproject_pair_batch_reporting;
 use ct_bp::{fdk_scale, BpConfig, SlabPair, TileReport};
@@ -49,18 +49,18 @@ impl BatchAccumulator {
     }
 
     /// Back-project one batch — `(projection index, filtered transposed
-    /// projection)` in stream order, `mats` indexed by projection — and
-    /// accumulate it. Returns the driver's tile reports for the caller's
+    /// projection)` in stream order, `mats` indexed by projection — into
+    /// the accumulator. Returns the driver's tile reports for the caller's
     /// span attribution.
     pub(crate) fn add<'a>(
         &mut self,
         pool: &Pool,
         mats: &[ProjectionMatrix],
         items: impl Iterator<Item = (usize, &'a TransposedProjection)>,
-    ) -> Result<Vec<TileReport>> {
+    ) -> Vec<TileReport> {
         let (batch_mats, projs): (Vec<ProjectionMatrix>, Vec<&TransposedProjection>) =
             items.map(|(i, q)| (mats[i], q)).unzip();
-        let (part, reports) = backproject_pair_batch_reporting(
+        backproject_pair_batch_reporting(
             pool,
             self.bp.kernel,
             &batch_mats,
@@ -70,9 +70,8 @@ impl BatchAccumulator {
             self.pair,
             self.bp.batch,
             self.bp.tile,
-        );
-        self.acc.accumulate(&part)?;
-        Ok(reports)
+            &mut self.acc,
+        )
     }
 
     /// The accumulated k-major pair volume.

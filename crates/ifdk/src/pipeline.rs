@@ -12,7 +12,7 @@
 //! dead stage thread into an `Err` naming the stage.
 
 use crate::batch::BatchAccumulator;
-use ct_bp::{fdk_scale, BpConfig, SlabPair};
+use ct_bp::{fdk_scale, BpConfig, KernelVariant, SlabPair};
 use ct_comm::Comm;
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::{CbctGeometry, ProjectionMatrix};
@@ -30,9 +30,14 @@ use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
 /// What every door checks before it builds anything: the geometry, and
-/// the back-projection config against the volume it will fill.
+/// the back-projection config (`L1-Tran` only) against the volume it fills.
 pub(crate) fn validate(geo: &CbctGeometry, bp: &BpConfig) -> Result<()> {
     geo.validate()?;
+    if bp.variant != KernelVariant::L1Tran {
+        let name = bp.variant.name();
+        let msg = format!("variant {name}: reconstruction runs L1-Tran only");
+        return Err(CtError::InvalidConfig(msg));
+    }
     bp.validate(geo.volume)
 }
 
@@ -187,7 +192,7 @@ pub(crate) fn backproject_stage(
             .with_index(batch_idx)
             .with_deps(dep_stage, dep_lo, dep_hi);
         sp.set_bytes(items.iter().map(|it| 4 * it.q.data().len() as u64).sum());
-        let reports = acc.add(pool, mats, items.iter().map(|it| (it.index, &it.q)))?;
+        let reports = acc.add(pool, mats, items.iter().map(|it| (it.index, &it.q)));
         // Tile intervals were measured on pool workers (which cannot own
         // a track); attribute them here, tagged by tile index, so traces
         // show tile-level load balance. The tile set is a pure function

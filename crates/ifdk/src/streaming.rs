@@ -83,19 +83,18 @@ impl StreamingReconstructor {
         self.pending.push((self.next_index, q.transposed()));
         self.next_index += 1;
         if self.pending.len() >= self.acc.batch() {
-            self.flush_pending()?;
+            self.flush_pending();
         }
         Ok(())
     }
 
-    fn flush_pending(&mut self) -> Result<()> {
+    fn flush_pending(&mut self) {
         if self.pending.is_empty() {
-            return Ok(());
+            return;
         }
         let items = self.pending.iter().map(|(i, q)| (*i, q));
-        self.acc.add(&self.pool, &self.mats, items)?;
+        self.acc.add(&self.pool, &self.mats, items);
         self.pending.clear();
-        Ok(())
     }
 
     /// Finish the scan: back-project any partial batch and return the
@@ -107,7 +106,7 @@ impl StreamingReconstructor {
                 self.next_index, self.geo.num_projections
             )));
         }
-        self.flush_pending()?;
+        self.flush_pending();
         let vol = self.acc.into_volume();
         Ok(finish_volume(vol, &self.geo, self.apply_scale))
     }
@@ -116,7 +115,7 @@ impl StreamingReconstructor {
     /// (pending projections included) — the "watch the volume appear"
     /// preview.
     pub fn preview(&mut self) -> Result<Volume> {
-        self.flush_pending()?;
+        self.flush_pending();
         let vol = self.acc.clone().into_volume();
         Ok(finish_volume(vol, &self.geo, self.apply_scale))
     }

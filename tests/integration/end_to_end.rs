@@ -3,14 +3,14 @@
 //! methodology (Shepp-Logan projections in, reconstructed volume out,
 //! compared against the reference).
 
-use ct_bp::{BpConfig, KernelVariant};
+use ct_bp::{backproject, fdk_scale, BpConfig, KernelVariant};
 use ct_core::error::CtError;
 use ct_core::metrics::{nrmse, rmse};
 use ct_core::problem::{Dims2, Dims3};
 use ct_core::projection::ProjectionStack;
 use ct_core::volume::VolumeLayout;
 use ct_core::CbctGeometry;
-use ct_filter::{FilterConfig, RampKind};
+use ct_filter::{FilterConfig, Filterer, RampKind};
 use ct_obs::live::LiveRegistry;
 use ct_par::Pool;
 use ct_pfs::PfsStore;
@@ -55,18 +55,22 @@ fn absolute_density_calibration() {
 #[test]
 fn all_kernel_variants_match_reference_at_paper_tolerance() {
     // Table 3/4's five kernels all compute the same integral; the paper
-    // verifies RMSE < 1e-5 against the reference implementation.
+    // verifies RMSE < 1e-5 against the reference implementation. The
+    // ablation variants run through `ct_bp::backproject` on the filtered
+    // stack (the doors run L1-Tran only).
     let (geo, _, stack) = scene(16, 64);
     let reference = reconstruct(&geo, &stack, &ReconOptions::default()).unwrap();
+    let pool = Pool::auto();
+    let filtered = Filterer::new(&geo, FilterConfig::default()).filter_stack(&pool, &stack);
+    let mats = geo.projection_matrices();
     for variant in KernelVariant::ALL {
-        let opts = ReconOptions {
-            bp: BpConfig {
-                variant,
-                ..BpConfig::default()
-            },
-            ..ReconOptions::default()
+        let bp = BpConfig {
+            variant,
+            ..BpConfig::default()
         };
-        let vol = reconstruct(&geo, &stack, &opts).unwrap();
+        let mut vol =
+            backproject(&pool, bp, &mats, &filtered, geo.volume).into_layout(VolumeLayout::IMajor);
+        vol.scale(fdk_scale(&geo));
         let e = nrmse(reference.data(), vol.data()).unwrap();
         assert!(e < 1e-5, "{}: NRMSE {e}", variant.name());
     }
@@ -212,34 +216,41 @@ fn thread_count_does_not_change_results() {
     );
 }
 
-/// One answer to a bad back-projection config: batch 0, batch 33 and an
-/// odd `Nz` are `Err(InvalidConfig)` from every entry point — no panic
-/// in a kernel, no silent clamp.
+/// One answer to a bad back-projection config: batch 0, batch 33, an
+/// odd `Nz` and a Table 3 ablation variant are `Err(InvalidConfig)` from
+/// every entry point — no panic in a kernel, no silent clamp, no silent
+/// L1-Tran in place of the variant asked for.
 #[test]
 fn bad_bp_config_is_an_error_at_every_entry_point() {
     let even = CbctGeometry::standard(Dims2::new(16, 16), 4, Dims3::cube(8));
     let odd = CbctGeometry::standard(Dims2::new(16, 16), 4, Dims3::new(8, 8, 7));
-    for (what, geo, batch) in [
-        ("batch 0", &even, 0),
-        ("batch 33", &even, 33),
-        ("Nz = 7", &odd, 32),
-    ] {
+    let batch = |batch| BpConfig {
+        batch,
+        ..BpConfig::default()
+    };
+    let mut cases = vec![
+        ("batch 0", &even, batch(0)),
+        ("batch 33", &even, batch(33)),
+        ("Nz = 7", &odd, batch(32)),
+    ];
+    for variant in KernelVariant::ALL {
+        if variant != KernelVariant::L1Tran {
+            let bp = BpConfig {
+                variant,
+                ..BpConfig::default()
+            };
+            cases.push((variant.name(), &even, bp));
+        }
+    }
+    for (what, geo, bp) in cases {
         let stack = ProjectionStack::zeros(geo.detector, geo.num_projections);
-        let bp = BpConfig {
-            batch,
-            ..BpConfig::default()
-        };
         let opts = ReconOptions {
             threads: 1,
             bp,
             ..ReconOptions::default()
         };
-        let store = PfsStore::memory();
-        upload_projections(&store, &stack).unwrap();
-        let mut dist = DistConfig::new(geo.clone(), RankGrid::new(1, 1).unwrap());
-        dist.batch = batch;
         let filter = FilterConfig::default();
-        let outcomes = [
+        let mut outcomes = vec![
             ("reconstruct", reconstruct(geo, &stack, &opts).err()),
             (
                 "reconstruct_pipelined",
@@ -253,11 +264,17 @@ fn bad_bp_config_is_an_error_at_every_entry_point() {
                 "StreamingReconstructor::new",
                 StreamingReconstructor::new(geo.clone(), filter, bp, Pool::serial(), true).err(),
             ),
-            (
-                "reconstruct_distributed",
-                reconstruct_distributed(&dist, &store, &PfsStore::memory()).err(),
-            ),
         ];
+        // DistConfig has no variant field (the grid door always runs
+        // L1-Tran), so only the batch and Nz cases reach it.
+        if bp.variant == KernelVariant::L1Tran {
+            let store = PfsStore::memory();
+            upload_projections(&store, &stack).unwrap();
+            let mut dist = DistConfig::new(geo.clone(), RankGrid::new(1, 1).unwrap());
+            dist.batch = bp.batch;
+            let err = reconstruct_distributed(&dist, &store, &PfsStore::memory()).err();
+            outcomes.push(("reconstruct_distributed", err));
+        }
         for (entry, err) in outcomes {
             assert!(
                 matches!(err, Some(CtError::InvalidConfig(_))),

@@ -15,7 +15,7 @@ use ct_core::geometry::{CbctGeometry, ProjectionMatrix};
 use ct_core::metrics::nrmse;
 use ct_core::problem::{Dims2, Dims3};
 use ct_core::projection::{ProjectionImage, ProjectionStack};
-use ct_core::volume::Volume;
+use ct_core::volume::{Volume, VolumeLayout};
 use ct_par::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,7 +96,8 @@ fn driver_is_bit_identical_to_the_reference_loop_for_both_samplers() {
                 for threads in [1usize, 2, 3] {
                     let pool = Pool::new(threads);
                     let what = format!("case {case}: {pair:?} batch {batch} {cfg:?} x{threads}");
-                    let (scalar, _) = backproject_pair_tiled_reporting(
+                    let mut scalar = Volume::zeros(scalar_ref.dims(), VolumeLayout::KMajor);
+                    backproject_pair_tiled_reporting(
                         &pool,
                         &mats,
                         &transposed,
@@ -105,13 +106,84 @@ fn driver_is_bit_identical_to_the_reference_loop_for_both_samplers() {
                         pair,
                         batch,
                         cfg,
+                        &mut scalar,
                     );
                     assert_eq!(scalar.data(), scalar_ref.data(), "{what}: scalar sampler");
-                    let (lane, _) = backproject_pair_tiled_reporting(
-                        &pool, &mats, &lanes, nv, dims, pair, batch, cfg,
+                    let mut lane = Volume::zeros(lanes_ref.dims(), VolumeLayout::KMajor);
+                    backproject_pair_tiled_reporting(
+                        &pool, &mats, &lanes, nv, dims, pair, batch, cfg, &mut lane,
                     );
                     assert_eq!(lane.data(), lanes_ref.data(), "{what}: lane sampler");
                 }
+            }
+        }
+    }
+}
+
+/// The add-into contract the batch accumulators rely on: the driver run
+/// into a filled pair volume gives, bit for bit, the filled volume plus
+/// the driver's result from zero — for both samplers, on a pair away from
+/// `k0 = 0`, whatever the tile shape and thread count.
+#[test]
+fn driver_adds_into_a_filled_volume_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xADD5);
+    let (geo, stack) = random_case(&mut rng);
+    let mats = geo.projection_matrices();
+    let (dims, nv) = (geo.volume, geo.detector.nv);
+    let pair = SlabPair::new(dims.nz, 1, dims.nz / 2 - 1).unwrap();
+    let local = Dims3::new(dims.nx, dims.ny, pair.local_nz());
+    let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
+    let lanes: Vec<LaneSampler> = transposed.iter().map(LaneSampler::new).collect();
+    // A running sum from earlier batches: mixed signs, magnitudes and -0.0.
+    let mut filled = Volume::zeros(local, VolumeLayout::KMajor);
+    for (n, x) in filled.data_mut().iter_mut().enumerate() {
+        *x = match n % 5 {
+            0 => -0.0,
+            1 => 1.0e3,
+            _ => (rng.gen::<u64>() % 4096) as f32 / 64.0 - 32.0,
+        };
+    }
+    for cfg in [
+        TileConfig::AUTO,
+        TileConfig {
+            i_block: 3,
+            slab_pairs: 2,
+        },
+    ] {
+        for threads in [1usize, 2] {
+            let pool = Pool::new(threads);
+            let run = |out: &mut Volume, lane: bool| {
+                if lane {
+                    backproject_pair_tiled_reporting(
+                        &pool, &mats, &lanes, nv, dims, pair, WARP_BATCH, cfg, out,
+                    )
+                } else {
+                    backproject_pair_tiled_reporting(
+                        &pool,
+                        &mats,
+                        &transposed,
+                        nv,
+                        dims,
+                        pair,
+                        WARP_BATCH,
+                        cfg,
+                        out,
+                    )
+                }
+            };
+            for lane in [false, true] {
+                let mut fresh = Volume::zeros(local, VolumeLayout::KMajor);
+                run(&mut fresh, lane);
+                let expected: Vec<u32> = filled
+                    .data()
+                    .iter()
+                    .zip(fresh.data())
+                    .map(|(a, b)| (a + b).to_bits())
+                    .collect();
+                let mut added = filled.clone();
+                run(&mut added, lane);
+                let got: Vec<u32> = added.data().iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, expected, "{cfg:?} x{threads} lanes={lane}");
             }
         }
     }
