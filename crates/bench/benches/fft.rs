@@ -1,8 +1,11 @@
 //! Criterion benchmarks of the FFT substrate: plan reuse (the filtering
-//! stage's hot path), arbitrary-size Bluestein overhead, and FFT-vs-direct
-//! convolution crossover.
+//! stage's hot path), arbitrary-size Bluestein overhead, FFT-vs-direct
+//! convolution crossover, and the projection transpose that follows the
+//! filter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ct_core::problem::Dims2;
+use ct_core::projection::ProjectionImage;
 use ct_fft::conv::RowConvolver;
 use ct_fft::{convolve_direct, convolve_fft, Complex, FftPlan};
 use ct_filter::{ramp_kernel, RampKind};
@@ -66,12 +69,14 @@ fn bench_convolution_crossover(c: &mut Criterion) {
 fn bench_row_convolver(c: &mut Criterion) {
     // The filtering stage's hot loop: two detector rows per transform
     // against the full-width Ram-Lak kernel, at the benchmark's detector
-    // widths. One element is one row, so the rate reads Mrows/s.
+    // widths (256 runs M = 512, an odd power of two, so it times the
+    // radix-2 level too). One element is one row, so the rate reads
+    // Mrows/s.
     let mut group = c.benchmark_group("row_convolver");
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
     group.throughput(Throughput::Elements(2));
-    for nu in [320usize, 512] {
+    for nu in [256usize, 320, 512] {
         let conv = RowConvolver::new(nu, &ramp_kernel(RampKind::RamLak, nu, 0.5));
         let mut scratch = conv.make_scratch();
         let row: Vec<f32> = (0..nu).map(|i| (i as f32).sin()).collect();
@@ -90,11 +95,30 @@ fn bench_row_convolver(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_transpose(c: &mut Criterion) {
+    // The filtered projection's transpose into the back-projection
+    // layout, once per Nu x Nu projection at the benchmark's widths.
+    let mut group = c.benchmark_group("transpose");
+    group.measurement_time(Duration::from_secs(2));
+    group.warm_up_time(Duration::from_millis(500));
+    for nu in [256usize, 320, 512] {
+        let dims = Dims2::new(nu, nu);
+        let data = (0..dims.len()).map(|i| i as f32).collect();
+        let img = ProjectionImage::from_vec(dims, data).expect("sized");
+        group.throughput(Throughput::Bytes(4 * dims.len() as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(nu), &img, |b, img| {
+            b.iter(|| img.transposed());
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fft_sizes,
     bench_bluestein,
     bench_convolution_crossover,
-    bench_row_convolver
+    bench_row_convolver,
+    bench_transpose
 );
 criterion_main!(benches);

@@ -45,6 +45,10 @@ pub fn interp2_strided(
     let dv = v - nv;
     let nu = nu as isize;
     let nv = nv as isize;
+    // Saturating: a coordinate at or past 2^63 (or +inf) casts to
+    // `isize::MAX`, and its right neighbour must land on the zero border,
+    // not overflow.
+    let (nu1, nv1) = (nu.saturating_add(1), nv.saturating_add(1));
 
     let sample = |x: isize, y: isize| -> f32 {
         if x < 0 || y < 0 || x >= width as isize || y >= height as isize {
@@ -57,8 +61,8 @@ pub fn interp2_strided(
     };
 
     // Algorithm 3 lines 4-6.
-    let t1 = sample(nu, nv) * (1.0 - du) + sample(nu + 1, nv) * du;
-    let t2 = sample(nu, nv + 1) * (1.0 - du) + sample(nu + 1, nv + 1) * du;
+    let t1 = sample(nu, nv) * (1.0 - du) + sample(nu1, nv) * du;
+    let t2 = sample(nu, nv1) * (1.0 - du) + sample(nu1, nv1) * du;
     t1 * (1.0 - dv) + t2 * dv
 }
 
@@ -96,7 +100,7 @@ impl AxisWeight {
     /// length `n` — i.e. no zero-border blending is needed on this axis.
     #[inline]
     pub fn interior(&self, n: usize) -> bool {
-        self.i >= 0 && self.i + 1 < n as isize
+        self.i >= 0 && self.i.saturating_add(1) < n as isize
     }
 
     /// Blend the two already-fetched axis samples exactly as [`interp2`]
@@ -118,7 +122,7 @@ impl AxisWeight {
                 .copied()
                 .unwrap_or(0.0)
         };
-        self.blend(s(self.i), s(self.i + 1))
+        self.blend(s(self.i), s(self.i.saturating_add(1)))
     }
 }
 
@@ -211,6 +215,35 @@ mod tests {
         assert_eq!(fetch_nearest(&img, 2, 2, 0.6, 0.4), 2.0);
         assert_eq!(fetch_nearest(&img, 2, 2, 0.4, 0.6), 3.0);
         assert_eq!(fetch_nearest(&img, 2, 2, -1.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn huge_and_non_finite_coordinates_read_the_zero_border() {
+        // `+inf` and `f32::MAX` floor to `isize::MAX` once cast, NaN to 0:
+        // the right neighbour must not overflow. A finite coordinate past
+        // the image reads 0; an infinite or NaN one has a NaN weight, so
+        // its blend is NaN.
+        let img = img2x2();
+        let odd = [f32::INFINITY, f32::MAX, f32::NAN];
+        let pairs = odd
+            .iter()
+            .flat_map(|&a| [(a, 0.5), (0.5, a), (a, a)])
+            .chain([(f32::MAX, f32::NAN), (f32::NAN, f32::INFINITY)]);
+        for (u, v) in pairs {
+            let got = interp2_strided(&img, 2, 2, 2, u, v);
+            if u.is_finite() && v.is_finite() {
+                assert_eq!(got, 0.0, "({u}, {v})");
+            } else {
+                assert!(got.is_nan(), "({u}, {v}) -> {got}");
+            }
+        }
+        for x in odd {
+            // NaN resolves to index 0, which is interior.
+            let w = AxisWeight::resolve(x);
+            assert_eq!(w.interior(2), x.is_nan(), "{x}");
+            let got = w.blend_bordered(&[1.0, 2.0]);
+            assert!(got == 0.0 || got.is_nan(), "{x} -> {got}");
+        }
     }
 
     #[test]

@@ -100,34 +100,8 @@ impl ProjectionImage {
     }
 
     /// Transpose into a [`TransposedProjection`] (Algorithm 4 line 3).
-    ///
-    /// Uses 32x32 tiling so both source reads and destination writes stay
-    /// within cache lines — the paper notes the transpose cost is a small
-    /// fraction of the filtering stage (Section 3.2.3) and the tiling is
-    /// what keeps it that way.
     pub fn transposed(&self) -> TransposedProjection {
-        const TILE: usize = 32;
-        let (nu, nv) = (self.dims.nu, self.dims.nv);
-        let mut out = vec![0.0f32; nu * nv];
-        for v0 in (0..nv).step_by(TILE) {
-            for u0 in (0..nu).step_by(TILE) {
-                let v1 = (v0 + TILE).min(nv);
-                let u1 = (u0 + TILE).min(nu);
-                for v in v0..v1 {
-                    for u in u0..u1 {
-                        if let (Some(dst), Some(&src)) =
-                            (out.get_mut(u * nv + v), self.data.get(v * nu + u))
-                        {
-                            *dst = src;
-                        }
-                    }
-                }
-            }
-        }
-        TransposedProjection {
-            dims: self.dims,
-            data: out,
-        }
+        TransposedProjection::transpose(self.dims, &self.data)
     }
 
     /// Re-tile into a [`BlockedProjection`] ("texture" layout).
@@ -147,6 +121,34 @@ pub struct TransposedProjection {
 }
 
 impl TransposedProjection {
+    /// The one transpose loop, over 32x32 tiles taken band by band: for
+    /// each band of 32 source rows and each `u`, the tile column is
+    /// written as one contiguous destination run (the inner loop is over
+    /// `v`), while its reads touch one cache line in each of the band's
+    /// 32 rows. The paper notes the transpose cost is a small fraction of
+    /// the filtering stage (Section 3.2.3); the tiling is what keeps it
+    /// that way.
+    fn transpose(dims: Dims2, src: &[f32]) -> Self {
+        const TILE: usize = 32;
+        let (nu, nv) = (dims.nu, dims.nv);
+        let mut data = vec![0.0f32; nu * nv];
+        if data.is_empty() {
+            return Self { dims, data };
+        }
+        for (t, rows) in src.chunks(TILE * nu).enumerate() {
+            for (u, run) in data.chunks_exact_mut(nv).enumerate() {
+                if let Some(run) = run.get_mut(t * TILE..) {
+                    for (d, row) in run.iter_mut().zip(rows.chunks_exact(nu)) {
+                        if let Some(&x) = row.get(u) {
+                            *d = x;
+                        }
+                    }
+                }
+            }
+        }
+        Self { dims, data }
+    }
+
     /// Dimensions of the original (untransposed) projection.
     #[inline]
     pub fn dims(&self) -> Dims2 {
@@ -188,25 +190,12 @@ impl TransposedProjection {
         }
     }
 
-    /// Transpose back to a row-major [`ProjectionImage`].
+    /// Transpose back to a row-major [`ProjectionImage`]: the same loop,
+    /// reading this buffer as a row-major image with swapped dimensions.
     pub fn untransposed(&self) -> ProjectionImage {
-        const TILE: usize = 32;
-        let (nu, nv) = (self.dims.nu, self.dims.nv);
-        let mut out = vec![0.0f32; nu * nv];
-        for u0 in (0..nu).step_by(TILE) {
-            for v0 in (0..nv).step_by(TILE) {
-                let u1 = (u0 + TILE).min(nu);
-                let v1 = (v0 + TILE).min(nv);
-                for u in u0..u1 {
-                    for v in v0..v1 {
-                        out[v * nu + u] = self.data[u * nv + v];
-                    }
-                }
-            }
-        }
         ProjectionImage {
             dims: self.dims,
-            data: out,
+            data: Self::transpose(self.dims.transposed(), &self.data).data,
         }
     }
 }
@@ -280,8 +269,9 @@ impl BlockedProjection {
         let du = u - nu;
         let dv = v - nv;
         let (nu, nv) = (nu as isize, nv as isize);
-        let t1 = self.fetch(nu, nv) * (1.0 - du) + self.fetch(nu + 1, nv) * du;
-        let t2 = self.fetch(nu, nv + 1) * (1.0 - du) + self.fetch(nu + 1, nv + 1) * du;
+        let (nu1, nv1) = (nu.saturating_add(1), nv.saturating_add(1));
+        let t1 = self.fetch(nu, nv) * (1.0 - du) + self.fetch(nu1, nv) * du;
+        let t2 = self.fetch(nu, nv1) * (1.0 - du) + self.fetch(nu1, nv1) * du;
         t1 * (1.0 - dv) + t2 * dv
     }
 
@@ -460,6 +450,38 @@ mod tests {
         }
         let back = t.untransposed();
         assert_eq!(back, img);
+    }
+
+    #[test]
+    fn transposed_matches_the_index_definition() {
+        // Single pixels, single rows and columns, shapes off the 32-pixel
+        // tile grid, and the benchmark's detector widths.
+        for (nu, nv) in [(1, 1), (1, 33), (33, 1), (31, 65), (320, 320), (512, 512)] {
+            let img = ramp_image(nu, nv);
+            let t = img.transposed();
+            assert_eq!(t.dims(), img.dims());
+            for u in 0..nu {
+                for v in 0..nv {
+                    assert_eq!(
+                        t.data()[u * nv + v],
+                        img.data()[v * nu + u],
+                        "{nu}x{nv} ({u},{v})"
+                    );
+                }
+            }
+            assert_eq!(t.untransposed(), img);
+        }
+        let empty = ProjectionImage::zeros(Dims2::new(0, 4)).transposed();
+        assert!(empty.data().is_empty());
+    }
+
+    #[test]
+    fn blocked_sampling_at_huge_and_non_finite_coordinates_does_not_overflow() {
+        let b = ramp_image(4, 4).blocked();
+        for (u, v) in [(f32::MAX, 1.0), (1.0, f32::MAX), (f32::INFINITY, f32::NAN)] {
+            let got = b.sample(u, v);
+            assert!(got == 0.0 || got.is_nan(), "({u}, {v}) -> {got}");
+        }
     }
 
     #[test]

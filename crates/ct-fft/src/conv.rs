@@ -10,7 +10,7 @@
 //!   spectrum and plan across the thousands of rows in a projection stack.
 
 use crate::complex::Complex;
-use crate::plan::FftPlan;
+use crate::plan::{FftPlan, ScrambledPlan};
 
 /// Direct (time-domain) linear convolution: output length `a + b - 1`.
 pub fn convolve_direct(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -69,8 +69,9 @@ pub struct RowConvolver {
     row_len: usize,
     /// Kernel centre `K / 2`: where the kept window starts.
     offset: usize,
-    plan: FftPlan,
-    /// Spectrum of the kernel folded modulo the FFT length, times `1/M`.
+    plan: ScrambledPlan,
+    /// Spectrum of the kernel folded modulo the FFT length, times `1/M`,
+    /// in the bit-reversed order `ScrambledPlan::forward` leaves.
     kernel_spectrum: Vec<Complex>,
 }
 
@@ -94,12 +95,20 @@ impl RowConvolver {
     /// The kernel spectrum is multiplied by `1/M` here, once; `M` is a
     /// power of two, so that product is exact and the per-row inverse
     /// transform runs unscaled with the same result as a scaled one.
+    ///
+    /// Rows and kernel go through the scrambled-order pair
+    /// (`ScrambledPlan`): both spectra come out in the same
+    /// bit-reversed order, their pointwise product is taken there, and
+    /// the inverse returns natural order, so no permutation pass runs.
+    /// When `2N <= M` (the full-width ramp) the row's upper half is zero
+    /// and the forward's first stage never reads it, so only `[N, M/2)`
+    /// is zeroed per row.
     pub fn new(row_len: usize, kernel: &[f64]) -> Self {
         assert!(row_len > 0, "row length must be nonzero");
         assert!(!kernel.is_empty(), "kernel must be nonempty");
         let offset = kernel.len() / 2;
         let m = (row_len + offset).next_power_of_two();
-        let plan = FftPlan::new(m);
+        let plan = ScrambledPlan::new(m);
         let mut spec = vec![Complex::ZERO; m];
         for (i, &x) in kernel.iter().enumerate() {
             spec[i % m].re += x;
@@ -168,22 +177,29 @@ impl RowConvolver {
     }
 
     /// The per-row transform chain: `load` fills the first `row_len`
-    /// entries of `scratch`, the tail is zeroed, and the returned slice is
+    /// entries of `scratch`, the tail is zeroed (only up to `M/2` when
+    /// the forward can skip the upper half), and the returned slice is
     /// the kept "same" window of the circular convolution.
     fn convolve<'s>(
         &self,
         scratch: &'s mut [Complex],
         load: impl FnOnce(&mut [Complex]),
     ) -> &'s [Complex] {
-        assert_eq!(scratch.len(), self.plan.len(), "scratch length mismatch");
+        let m = self.plan.len();
+        assert_eq!(scratch.len(), m, "scratch length mismatch");
         let (head, tail) = scratch.split_at_mut(self.row_len);
         load(head);
-        tail.fill(Complex::ZERO);
-        self.plan.forward(scratch);
+        if 2 * self.row_len <= m {
+            tail[..m / 2 - self.row_len].fill(Complex::ZERO);
+            self.plan.forward_lower_half(scratch);
+        } else {
+            tail.fill(Complex::ZERO);
+            self.plan.forward(scratch);
+        }
         for (x, &y) in scratch.iter_mut().zip(self.kernel_spectrum.iter()) {
             *x *= y;
         }
-        self.plan.inverse_unscaled(scratch);
+        self.plan.inverse(scratch);
         &scratch[self.offset..self.offset + self.row_len]
     }
 
@@ -481,6 +497,47 @@ mod tests {
                         (ordered(got) - ordered(want)).abs() <= 1,
                         "index {i}: {got} vs {want}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_convolver_keeps_the_window_at_the_smallest_lengths_on_both_paths() {
+        // (N, K) -> M = (N + K/2).next_power_of_two(); the forward skips
+        // the upper half exactly when 2N <= M.
+        for (n, k, m, pruned) in [
+            (1, 1, 1, false),
+            (1, 3, 2, true),
+            (2, 1, 2, false),
+            (2, 3, 4, true),
+            (1, 5, 4, true),
+            (3, 1, 4, false),
+            (3, 3, 4, false),
+        ] {
+            let kernel = dense_kernel(k);
+            let conv = RowConvolver::new(n, &kernel);
+            assert_eq!(conv.fft_len(), m, "N={n} K={k}");
+            assert_eq!(2 * n <= m, pruned, "N={n} K={k}");
+            let mut scratch = conv.make_scratch();
+            for row in adversarial_rows(n) {
+                let (want, tol) = direct_window(&row, &kernel);
+                let mut single = row.clone();
+                conv.convolve_row_f32(&mut single, &mut scratch);
+                let mut pair_a = row.clone();
+                let mut pair_b: Vec<f32> = row.iter().map(|x| -0.5 * x).collect();
+                conv.convolve_row_pair_f32(&mut pair_a, &mut pair_b, &mut scratch);
+                for i in 0..n {
+                    for (got, w) in [
+                        (single[i], want[i]),
+                        (pair_a[i], want[i]),
+                        (pair_b[i], -0.5 * want[i]),
+                    ] {
+                        assert!(
+                            (got as f64 - w).abs() <= tol,
+                            "N={n} K={k} index {i}: {got} vs {w}"
+                        );
+                    }
                 }
             }
         }

@@ -76,18 +76,11 @@ impl FftPlan {
     /// # Panics
     /// Panics if `data.len() != self.len()`.
     pub fn inverse(&self, data: &mut [Complex]) {
-        self.inverse_unscaled(data);
+        self.transform::<true>(data);
         let s = 1.0 / self.n as f64;
         for c in data.iter_mut() {
             *c = c.scale(s);
         }
-    }
-
-    /// In-place inverse FFT without the `1/N` factor, for callers that
-    /// fold the scale into data they prepare once (see
-    /// [`crate::conv::RowConvolver`]).
-    pub(crate) fn inverse_unscaled(&self, data: &mut [Complex]) {
-        self.transform::<true>(data);
     }
 
     /// The twiddles `exp(-i*pi*j/span)`, `j < span`, of the level with
@@ -155,6 +148,232 @@ impl FftPlan {
 fn butterfly<const INVERSE: bool>(a: Complex, b: Complex, w: Complex) -> (Complex, Complex) {
     let b = b * if INVERSE { w.conj() } else { w };
     (a + b, a - b)
+}
+
+/// The scrambled-order transform pair behind
+/// [`crate::conv::RowConvolver`]: a radix-4 decimation-in-frequency
+/// forward that takes natural order and leaves the spectrum in
+/// bit-reversed order, and the matching unscaled decimation-in-time
+/// inverse that takes bit-reversed order back to natural order. A
+/// pointwise product between the two (with a kernel spectrum computed by
+/// the same forward) needs no permutation, so neither transform runs a
+/// bit-reversal pass.
+///
+/// Each radix-4 butterfly stores its outputs in the order `0, 2, 1, 3`,
+/// which is what two radix-2 levels would leave: the whole forward is
+/// then a plain bit reversal away from [`FftPlan::forward`]. When
+/// `log2 N` is odd one twiddle-free radix-2 level closes the forward and
+/// opens the inverse.
+#[derive(Debug, Clone)]
+pub(crate) struct ScrambledPlan {
+    n: usize,
+    /// Per radix-4 stage, largest block first: `[W^j, W^2j, W^3j]` for
+    /// `j < len / 4`, `W = exp(-2*pi*i/len)`, where `len` is the stage's
+    /// block length (`n`, `n/4`, ... down to 4 or 8).
+    twiddles: Vec<[Complex; 3]>,
+}
+
+impl ScrambledPlan {
+    /// Build the pair for length `n`, which must be a power of two.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(
+            n.is_power_of_two(),
+            "ScrambledPlan requires a power of two, got {n}"
+        );
+        let mut twiddles = Vec::new();
+        let mut len = n;
+        while len >= 4 {
+            let step = -2.0 * std::f64::consts::PI / len as f64;
+            for j in 0..len / 4 {
+                let w = |k: usize| Complex::from_polar(1.0, step * (k * j) as f64);
+                twiddles.push([w(1), w(2), w(3)]);
+            }
+            len /= 4;
+        }
+        Self { n, twiddles }
+    }
+
+    /// Transform length.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// In-place forward DFT, natural order in, bit-reversed order out,
+    /// no scaling.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != self.len()`.
+    pub(crate) fn forward(&self, data: &mut [Complex]) {
+        self.forward_impl::<false>(data);
+    }
+
+    /// [`Self::forward`] of a buffer whose upper half is zero, without
+    /// reading that half: the first stage takes its inputs from the lower
+    /// half only (and overwrites the upper one). For `n == 1` there is
+    /// no upper half, so this is [`Self::forward`].
+    ///
+    /// # Panics
+    /// Panics if `data.len() != self.len()`.
+    pub(crate) fn forward_lower_half(&self, data: &mut [Complex]) {
+        self.forward_impl::<true>(data);
+    }
+
+    fn forward_impl<const PRUNED: bool>(&self, data: &mut [Complex]) {
+        assert_eq!(data.len(), self.n, "buffer length mismatch");
+        let mut len = self.n;
+        let mut twiddles = &self.twiddles[..];
+        while len >= 4 {
+            let (stage, rest) = twiddles.split_at(len / 4);
+            if PRUNED && len == self.n {
+                dif4_stage::<true>(data, len, stage);
+            } else {
+                dif4_stage::<false>(data, len, stage);
+            }
+            twiddles = rest;
+            len /= 4;
+        }
+        if len == 2 {
+            if PRUNED && self.n == 2 {
+                // The one butterfly, with a zero second input.
+                data[1] = data[0];
+            } else {
+                radix2_level(data);
+            }
+        }
+    }
+
+    /// In-place inverse DFT without the `1/N` factor: bit-reversed order
+    /// in (as [`Self::forward`] leaves it), natural order out, so
+    /// `inverse(forward(x)) == N * x` up to rounding.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != self.len()`.
+    pub(crate) fn inverse(&self, data: &mut [Complex]) {
+        assert_eq!(data.len(), self.n, "buffer length mismatch");
+        let mut len = if self.n.trailing_zeros() % 2 == 1 {
+            radix2_level(data);
+            8
+        } else {
+            4
+        };
+        let mut end = self.twiddles.len();
+        while len <= self.n {
+            let start = end - len / 4;
+            dit4_stage(data, len, &self.twiddles[start..end]);
+            end = start;
+            len *= 4;
+        }
+    }
+}
+
+/// `-i * z`: a swap and a negation, no multiply.
+#[inline(always)]
+fn mul_neg_i(z: Complex) -> Complex {
+    Complex::new(z.im, -z.re)
+}
+
+/// `i * z`.
+#[inline(always)]
+fn mul_i(z: Complex) -> Complex {
+    Complex::new(-z.im, z.re)
+}
+
+/// `z * conj(w)`.
+#[inline(always)]
+fn mul_conj(z: Complex, w: Complex) -> Complex {
+    Complex::new(z.re * w.re + z.im * w.im, z.im * w.re - z.re * w.im)
+}
+
+/// The twiddle-free radix-2 level on adjacent pairs (its own inverse up
+/// to a factor of 2).
+fn radix2_level(data: &mut [Complex]) {
+    for pair in data.chunks_exact_mut(2) {
+        let (a, b) = (pair[0], pair[1]);
+        (pair[0], pair[1]) = (a + b, a - b);
+    }
+}
+
+/// The four quarters `(x0, x1, x2, x3)` of one block, zipped element by
+/// element.
+fn quarters(
+    block: &mut [Complex],
+) -> impl Iterator<Item = (&mut Complex, &mut Complex, &mut Complex, &mut Complex)> {
+    let q = block.len() / 4;
+    let (q0, rest) = block.split_at_mut(q);
+    let (q1, rest) = rest.split_at_mut(q);
+    let (q2, q3) = rest.split_at_mut(q);
+    q0.iter_mut()
+        .zip(q1)
+        .zip(q2)
+        .zip(q3)
+        .map(|(((x0, x1), x2), x3)| (x0, x1, x2, x3))
+}
+
+/// The radix-4 decimation-in-frequency butterfly before its twiddles:
+/// `x0 + x1 + x2 + x3`, `x0 - x1 + x2 - x3`, `x0 - i x1 - x2 + i x3` and
+/// `x0 + i x1 - x2 - i x3`, in that (bit-reversed) order. `PRUNED` takes
+/// `x2 = x3 = 0` without reading them.
+#[inline(always)]
+fn dif4<const PRUNED: bool>(x0: Complex, x1: Complex, x2: &Complex, x3: &Complex) -> [Complex; 4] {
+    let (t0, t1, t2, t3) = if PRUNED {
+        (x0, x0, x1, mul_neg_i(x1))
+    } else {
+        (x0 + *x2, x0 - *x2, x1 + *x3, mul_neg_i(x1 - *x3))
+    };
+    [t0 + t2, t0 - t2, t1 + t3, t1 - t3]
+}
+
+/// One radix-4 decimation-in-frequency stage over every `len`-point
+/// block of `data`: [`dif4`], then the twiddles `W^2j`, `W^j`, `W^3j` on
+/// the last three outputs. The `len == 4` stage has only `j = 0` and
+/// multiplies by nothing.
+fn dif4_stage<const PRUNED: bool>(data: &mut [Complex], len: usize, twiddles: &[[Complex; 3]]) {
+    if len == 4 {
+        for block in data.chunks_exact_mut(4) {
+            if let [x0, x1, x2, x3] = block {
+                [*x0, *x1, *x2, *x3] = dif4::<PRUNED>(*x0, *x1, x2, x3);
+            }
+        }
+        return;
+    }
+    for block in data.chunks_exact_mut(len) {
+        for ((x0, x1, x2, x3), w) in quarters(block).zip(twiddles) {
+            let [y0, y2, y1, y3] = dif4::<PRUNED>(*x0, *x1, x2, x3);
+            (*x0, *x1, *x2, *x3) = (y0, y2 * w[1], y1 * w[0], y3 * w[2]);
+        }
+    }
+}
+
+/// The inverse of [`dif4`] times 4: `+i` for `-i`, natural order out.
+#[inline(always)]
+fn dit4(z0: Complex, z2: Complex, z1: Complex, z3: Complex) -> [Complex; 4] {
+    let (s, d) = (z0 + z2, z0 - z2);
+    let (e, f) = (z1 + z3, mul_i(z1 - z3));
+    [s + e, d + f, s - e, d - f]
+}
+
+/// One radix-4 decimation-in-time stage, the inverse of [`dif4_stage`]
+/// times 4: conjugated twiddles first, then [`dit4`].
+fn dit4_stage(data: &mut [Complex], len: usize, twiddles: &[[Complex; 3]]) {
+    if len == 4 {
+        for block in data.chunks_exact_mut(4) {
+            if let [x0, x1, x2, x3] = block {
+                [*x0, *x1, *x2, *x3] = dit4(*x0, *x1, *x2, *x3);
+            }
+        }
+        return;
+    }
+    for block in data.chunks_exact_mut(len) {
+        for ((x0, x1, x2, x3), w) in quarters(block).zip(twiddles) {
+            let (z2, z1, z3) = (
+                mul_conj(*x1, w[1]),
+                mul_conj(*x2, w[0]),
+                mul_conj(*x3, w[2]),
+            );
+            [*x0, *x1, *x2, *x3] = dit4(*x0, z2, z1, z3);
+        }
+    }
 }
 
 /// Forward FFT of arbitrary length. Power-of-two inputs use the radix-2
@@ -384,6 +603,79 @@ mod tests {
                             "n={n} inverse={inverse} bin {i}: {g:?} vs {w:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Largest component gap between `got` and `want`, over the largest
+    /// component of `want`.
+    fn relative_gap(got: &[Complex], want: &[Complex]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        let gap = got.iter().zip(want).fold(0.0f64, |m, (g, w)| {
+            m.max((g.re - w.re).abs()).max((g.im - w.im).abs())
+        });
+        let scale = want
+            .iter()
+            .fold(0.0f64, |m, w| m.max(w.re.abs()).max(w.im.abs()));
+        gap / scale
+    }
+
+    #[test]
+    fn scrambled_inverse_of_forward_is_m_times_the_input() {
+        for k in 0..=12 {
+            let m = 1usize << k;
+            let plan = ScrambledPlan::new(m);
+            let x = signal(m);
+            let mut buf = x.clone();
+            plan.forward(&mut buf);
+            plan.inverse(&mut buf);
+            let want: Vec<Complex> = x.iter().map(|c| c.scale(m as f64)).collect();
+            let gap = relative_gap(&buf, &want);
+            assert!(gap <= 1e-12, "M={m}: relative gap {gap:e}");
+        }
+    }
+
+    #[test]
+    fn scrambled_forward_is_a_bit_reversal_of_the_plan_forward() {
+        for k in 0..=12 {
+            let m = 1usize << k;
+            let plan = FftPlan::new(m);
+            let x = signal(m);
+            let mut scrambled = x.clone();
+            ScrambledPlan::new(m).forward(&mut scrambled);
+            let mut got = vec![Complex::ZERO; m];
+            for (i, &r) in plan.bitrev.iter().enumerate() {
+                got[r as usize] = scrambled[i];
+            }
+            let mut want = x;
+            plan.forward(&mut want);
+            let gap = relative_gap(&got, &want);
+            assert!(gap <= 1e-12, "M={m}: relative gap {gap:e}");
+        }
+    }
+
+    #[test]
+    fn pruned_forward_equals_the_unpruned_forward_on_half_zero_input() {
+        // `==` per component: reading the zero half only adds or
+        // subtracts exact zeros, which change at most the sign of a zero.
+        for k in 1..=12 {
+            let m = 1usize << k;
+            let plan = ScrambledPlan::new(m);
+            let mut impulse = vec![Complex::ZERO; m];
+            impulse[m / 2 - 1] = Complex::new(-1.5, 0.25);
+            for mut x in [signal(m), impulse] {
+                x[m / 2..].fill(Complex::ZERO);
+                let mut want = x.clone();
+                plan.forward(&mut want);
+                // The pruned forward must not read the upper half.
+                x[m / 2..].fill(Complex::new(f64::NAN, f64::NAN));
+                plan.forward_lower_half(&mut x);
+                for (i, (g, w)) in x.iter().zip(want.iter()).enumerate() {
+                    assert!(
+                        g.re == w.re && g.im == w.im,
+                        "M={m} bin {i}: {g:?} vs {w:?}"
+                    );
                 }
             }
         }
