@@ -2,20 +2,28 @@
 //!
 //! ```text
 //! cargo run --release -p ifdk-bench --bin tracereport -- trace.json \
-//!     [--min-overlap 0.5] [--format text|json] [--record trajectory.jsonl]
+//!     [--min-overlap 0.5] [--max-stall-ms <ms>] [--max-trips <n>] \
+//!     [--format text|json] [--record trajectory.jsonl]
 //! ```
 //!
 //! Re-imports the trace with `ct_obs::chrome::parse_trace`, runs
 //! `ct_obs::analysis::PipelineAnalysis` over it and prints the report:
 //! the critical path through the producer→consumer dependency graph,
 //! per-lane busy/stall/idle utilization, ring-stall attribution and the
-//! Eq.-19 overlap-efficiency figure (`max_stage / wall`). With
-//! `--min-overlap <frac>` the report doubles as a CI gate: overlap
-//! efficiency below the threshold fails the check. `--format json`
-//! emits the analysis as machine-readable JSON instead of the text
-//! report (the same hand-rolled serializer the live metrics frames
-//! use), for dashboards and diffing. `--record <path>` appends an
-//! `ifdk-run/v1` record (overlap efficiency, wall/critical-path
+//! Eq.-19 overlap-efficiency figure (`max_stage / wall`). The report
+//! doubles as a CI gate:
+//!
+//! * `--min-overlap <frac>` fails when overlap efficiency is below it;
+//! * `--max-stall-ms <ms>` fails when any single ring wait (the longest
+//!   `*.push_wait` / `*.pop_wait` span of the analysis' stall table)
+//!   lasted longer;
+//! * `--max-trips <n>` fails when the trace holds more than `n`
+//!   `watchdog.trip` events (the live stall watchdog records one per
+//!   ring side that stayed blocked past its deadline).
+//!
+//! `--format json` emits the analysis as machine-readable JSON instead
+//! of the text report, for dashboards and diffing. `--record <path>`
+//! appends an `ifdk-run/v1` record (overlap efficiency, wall/critical-path
 //! seconds) to the `ct-perfdb` trajectory store so `perfscope` can
 //! trend overlap across runs. Exit codes follow `ifdk_bench::check`:
 //! 0 ok, 1 gate failed (or unanalyzable trace), 2 unreadable file,
@@ -26,9 +34,12 @@ use std::process::ExitCode;
 
 fn run(args: &[String]) -> Gate {
     let usage = "usage: tracereport <trace.json> [--min-overlap <0..=1>] \
+                 [--max-stall-ms <ms>] [--max-trips <n>] \
                  [--format text|json] [--record <trajectory.jsonl>]";
     let mut path: Option<&str> = None;
     let mut min_overlap: Option<f64> = None;
+    let mut max_stall_ms: Option<u64> = None;
+    let mut max_trips: Option<u64> = None;
     let mut json_out = false;
     let mut record: Option<&str> = None;
     let mut i = 0;
@@ -67,6 +78,22 @@ fn run(args: &[String]) -> Gate {
                             "--min-overlap must be a fraction in 0..=1, got {v:?}\n{usage}"
                         ))
                     }
+                }
+                i += 2;
+            }
+            flag @ ("--max-stall-ms" | "--max-trips") => {
+                let Some(v) = args.get(i + 1) else {
+                    return Gate::Usage(format!("{flag} needs a value\n{usage}"));
+                };
+                let Ok(n) = v.parse::<u64>() else {
+                    return Gate::Usage(format!(
+                        "{flag} must be a non-negative integer, got {v:?}\n{usage}"
+                    ));
+                };
+                if flag == "--max-trips" {
+                    max_trips = Some(n);
+                } else {
+                    max_stall_ms = Some(n);
                 }
                 i += 2;
             }
@@ -144,6 +171,32 @@ fn run(args: &[String]) -> Gate {
             );
         }
     }
+    if let Some(max) = max_trips {
+        let trips = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "watchdog.trip")
+            .count();
+        if trips as u64 > max {
+            return Gate::CheckFailed(format!(
+                "{trips} watchdog trips recorded, over the --max-trips {max} bound"
+            ));
+        }
+    }
+    if let Some(ms) = max_stall_ms {
+        let bound_ns = ms.saturating_mul(1_000_000);
+        let worst = analysis.stalls.iter().max_by_key(|s| s.max_ns);
+        if let Some(s) = worst.filter(|s| s.max_ns > bound_ns) {
+            return Gate::CheckFailed(format!(
+                "rank {} {} waited {} on {} ({}), over the --max-stall-ms {ms} bound",
+                s.rank,
+                s.role.as_str(),
+                ct_obs::trace::fmt_ns(s.max_ns),
+                s.buffer,
+                s.kind.as_str()
+            ));
+        }
+    }
     Gate::Ok
 }
 
@@ -158,6 +211,12 @@ mod tests {
     use ct_obs::{Recorder, ThreadRole};
 
     fn trace_file(name: &str) -> String {
+        trace_file_with(name, |_| {})
+    }
+
+    /// Four 1 ms filter spans on one lane, plus whatever `extra` records
+    /// on the same recorder.
+    fn trace_file_with(name: &str, extra: impl FnOnce(&Recorder)) -> String {
         let rec = Recorder::trace();
         {
             let t = rec.track(0, ThreadRole::Filter);
@@ -167,10 +226,18 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
+        extra(&rec);
         let json = ct_obs::chrome::to_chrome_json(&rec.collect());
         let path = std::env::temp_dir().join(name);
         std::fs::write(&path, json).unwrap();
         path.to_str().unwrap().to_string()
+    }
+
+    fn args(path: &str, flags: &[&str]) -> Vec<String> {
+        std::iter::once(path)
+            .chain(flags.iter().copied())
+            .map(str::to_string)
+            .collect()
     }
 
     #[test]
@@ -256,5 +323,53 @@ mod tests {
         // report-only invocation instead and assert Ok.
         assert_eq!(run(std::slice::from_ref(&path)), Gate::Ok);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn one_watchdog_trip_fails_max_trips_0_and_passes_max_trips_1() {
+        let path = trace_file_with("ifdk-tracereport-trip.json", |rec| {
+            let t = rec.track(0, ThreadRole::Other);
+            let now = ct_obs::clock::now();
+            t.record_completed("watchdog.trip", Some(0), None, now, now);
+        });
+        let tripped = run(&args(&path, &["--max-trips", "0"]));
+        assert!(matches!(tripped, Gate::CheckFailed(_)), "{tripped:?}");
+        assert_eq!(tripped.code(), 1);
+        assert_eq!(run(&args(&path, &["--max-trips", "1"])), Gate::Ok);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_20_ms_push_wait_fails_max_stall_ms_10_and_passes_50() {
+        let path = trace_file_with("ifdk-tracereport-stall.json", |rec| {
+            let t = rec.track(0, ThreadRole::Main);
+            let start = ct_obs::clock::now();
+            let end = start + std::time::Duration::from_millis(20);
+            t.record_completed("ring.bp.push_wait", Some(0), None, start, end);
+        });
+        let stalled = run(&args(&path, &["--max-stall-ms", "10"]));
+        assert!(matches!(stalled, Gate::CheckFailed(_)), "{stalled:?}");
+        assert_eq!(stalled.code(), 1);
+        assert_eq!(run(&args(&path, &["--max-stall-ms", "50"])), Gate::Ok);
+        // A trace without trips or long waits passes both gates at once.
+        let clean = trace_file("ifdk-tracereport-clean.json");
+        let both = ["--max-stall-ms", "50", "--max-trips", "0"];
+        assert_eq!(run(&args(&clean, &both)), Gate::Ok);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&clean);
+    }
+
+    #[test]
+    fn bad_gate_values_are_usage() {
+        for flags in [
+            &["--max-trips", "-1"][..],
+            &["--max-trips", "many"],
+            &["--max-stall-ms", "1.5"],
+            &["--max-stall-ms"],
+            &["--max-trips"],
+        ] {
+            let gate = run(&args("t.json", flags));
+            assert_eq!(gate.code(), 3, "{flags:?}: {gate:?}");
+        }
     }
 }

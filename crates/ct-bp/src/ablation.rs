@@ -134,6 +134,10 @@ pub fn backproject_standard_f64(
                 let (fu, fv) = (u.floor(), v.floor());
                 let (du, dv) = (u - fu, v - fv);
                 let (pu, pv) = (fu as isize, fv as isize);
+                // Saturating: a coordinate at or past 2^63 (or +inf)
+                // casts to `isize::MAX`; its neighbour reads the zero
+                // border instead of overflowing.
+                let (pu1, pv1) = (pu.saturating_add(1), pv.saturating_add(1));
                 let fetch = |x: isize, y: isize| -> f64 {
                     if x < 0 || y < 0 || x >= nu as isize || y >= nv as isize {
                         0.0
@@ -141,8 +145,8 @@ pub fn backproject_standard_f64(
                         data[y as usize * nu + x as usize] as f64
                     }
                 };
-                let t1 = fetch(pu, pv) * (1.0 - du) + fetch(pu + 1, pv) * du;
-                let t2 = fetch(pu, pv + 1) * (1.0 - du) + fetch(pu + 1, pv + 1) * du;
+                let t1 = fetch(pu, pv) * (1.0 - du) + fetch(pu1, pv) * du;
+                let t2 = fetch(pu, pv1) * (1.0 - du) + fetch(pu1, pv1) * du;
                 t1 * (1.0 - dv) + t2 * dv
             };
             let r = &m.mat.rows;
@@ -263,5 +267,42 @@ mod tests {
         let stack = ProjectionStack::zeros(geo.detector, 4);
         let v = backproject_no_symmetry(&Pool::serial(), &mats, &stack, geo.volume);
         assert_eq!(v.dims().nz, 7);
+    }
+
+    #[test]
+    fn off_detector_and_infinite_coordinates_read_the_zero_border() {
+        // Both manual-bilinear paths (the f64 oracle and RTK-32) floor a
+        // coordinate and fetch its `+1` neighbour. A finite coordinate
+        // past 2^63 casts to `isize::MAX`: the neighbour must read the
+        // zero border, not overflow. A depth row of zero makes every
+        // `1/z` infinite: the run must still finish, and the infinite
+        // weight times the zero border is NaN.
+        let (geo, _, stack) = setup(1, 4);
+        let rtk32 = crate::BpConfig {
+            variant: crate::KernelVariant::Rtk32,
+            ..Default::default()
+        };
+        let run = |rows: [[f64; 4]; 3]| {
+            let mats = vec![ProjectionMatrix {
+                mat: ct_core::math::Mat3x4::from_rows(rows),
+                beta: 0.0,
+            }];
+            let pool = Pool::serial();
+            let f64_path = backproject_standard_f64(&pool, &mats, &stack, geo.volume);
+            let rtk_path = crate::backproject(&pool, rtk32, &mats, &stack, geo.volume);
+            [f64_path, rtk_path]
+        };
+        let far = [
+            [0.0, 0.0, 0.0, 1e30],
+            [0.0, 0.0, 0.0, 1e30],
+            [0.0, 0.0, 0.0, 1.0],
+        ];
+        for vol in run(far) {
+            assert!(vol.data().iter().all(|&x| x == 0.0));
+        }
+        let flat = [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [0.0; 4]];
+        for vol in run(flat) {
+            assert!(vol.data().iter().all(|x| x.is_nan()));
+        }
     }
 }

@@ -232,8 +232,11 @@ fn backproject_rtk32(
                         let du = u - fu;
                         let dv = v - fv;
                         let (pu, pv) = (fu as isize, fv as isize);
-                        let t1 = q.fetch(pu, pv) * (1.0 - du) + q.fetch(pu + 1, pv) * du;
-                        let t2 = q.fetch(pu, pv + 1) * (1.0 - du) + q.fetch(pu + 1, pv + 1) * du;
+                        // Saturating, as in `ct_core::interp`: a coordinate
+                        // at or past 2^63 (or +inf) casts to `isize::MAX`.
+                        let (pu1, pv1) = (pu.saturating_add(1), pv.saturating_add(1));
+                        let t1 = q.fetch(pu, pv) * (1.0 - du) + q.fetch(pu1, pv) * du;
+                        let t2 = q.fetch(pu, pv1) * (1.0 - du) + q.fetch(pu1, pv1) * du;
                         acc += wdis * (t1 * (1.0 - dv) + t2 * dv);
                     }
                     slice[j * nx + i] += acc;

@@ -562,9 +562,8 @@ impl PipelineAnalysis {
 
     /// Serialize the complete analysis as one compact JSON object —
     /// the machine-readable twin of [`PipelineAnalysis::report`], used
-    /// by `tracereport --format json`. Shares the [`crate::jsonw`]
-    /// serializer with the live [`crate::live::MetricsSnapshot`]
-    /// frames, so downstream tooling parses one dialect.
+    /// by `tracereport --format json`, written with the crate's one
+    /// JSON serializer, [`crate::jsonw`].
     pub fn to_json(&self) -> String {
         let (mr, ml) = self.max_stage_lane;
         let lanes = crate::jsonw::arr(self.lanes.iter().map(|l| {

@@ -4,7 +4,7 @@
 //! both directions of its JSON: parsing lives in [`crate::chrome::json`],
 //! and this module is the one serializer — and [`escape_into`] the one
 //! string escaper — behind every machine-readable artifact: the Chrome
-//! trace, live-metrics frames, the analysis export, `ct-perfdb` run
+//! trace, the analysis export, `ct-perfdb` run
 //! records, the `gups`/`benchdiff` reports, experiment `RunReport`s and
 //! `cargo xtask analyze --format json`.
 //!

@@ -29,11 +29,10 @@
 //!   capture: per-role busy/stall/idle timelines, the producer→consumer
 //!   dependency graph from span `deps` tags, ring-stall attribution and
 //!   the Eq.-19 overlap-efficiency figure (`max_stage / wall`).
-//! * [`live`] — live telemetry for *running* reconstructions: periodic
-//!   versioned [`MetricsSnapshot`] frames (JSONL / Prometheus text), an
-//!   always-on bounded flight recorder dumpable into a normal
-//!   [`TraceData`], a ring-stall watchdog, and a model-weighted
-//!   progress/ETA estimator ([`live::ProgressSnapshot`]).
+//! * [`live`] — what failed first in a *running* reconstruction: a
+//!   ring-stall watchdog that records `watchdog.trip` events into the
+//!   trace, and an always-on bounded flight recorder dumpable into a
+//!   normal [`TraceData`].
 //! * [`current`] — a thread-bound ambient track so leaf substrates
 //!   (e.g. `ct-pfs`) can record spans without threading a handle through
 //!   every call signature.
@@ -69,8 +68,8 @@ pub mod trace;
 pub use analysis::PipelineAnalysis;
 pub use divergence::{DivergenceReport, StageDivergence};
 pub use live::{
-    FlightRecorder, LiveOptions, LiveOutcome, LiveRegistry, LiveSession, MetricsSnapshot,
-    RingLiveState, RingProbe, WatchdogTrip,
+    FlightRecorder, LiveOptions, LiveOutcome, LiveRegistry, LiveSession, RingLiveState, RingProbe,
+    WatchdogTrip,
 };
 pub use recorder::{Mode, Recorder, Span, ThreadRole, Track};
 pub use trace::{Hist, MetricStat, SpanDeps, SpanEvent, StageStat, TraceData};

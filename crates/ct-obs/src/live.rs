@@ -1,33 +1,27 @@
-//! Live telemetry: in-flight metrics for a *running* reconstruction.
+//! Live telemetry: the stall watchdog and flight recorder of a
+//! *running* reconstruction.
 //!
 //! Everything else in `ct-obs` reports after the fact — a capture is
-//! collected once the run completes and analyzed offline. This module is
-//! the always-on counterpart, built for the ROADMAP's
-//! reconstruction-as-a-service and self-tuning directions, which need
-//! the pipeline to report on itself while it runs:
+//! collected once the run completes and analyzed offline. A lane that
+//! blocks and never wakes never completes its wait span, so that
+//! capture cannot say what failed first. This module watches the run
+//! while it executes, and everything it finds lands in the run's one
+//! artifact, its trace:
 //!
-//! * [`LiveRegistry`] — a lock-light registry of per-stage completion
-//!   cells ([`StageCell`]: atomic counters + a log2 histogram), live
-//!   ring-buffer probes ([`RingProbe`] reading [`RingLiveState`]) and
-//!   named counters/gauges. A sampler periodically folds it into
-//!   versioned [`MetricsSnapshot`] frames, streamed as JSONL
-//!   ([`MetricsSnapshot::to_json`]) and renderable as a Prometheus-style
-//!   text exposition ([`MetricsSnapshot::to_prometheus`]).
+//! * [`LiveRegistry`] — per-stage completion cells ([`StageCell`]:
+//!   items done and busy time), ring-buffer probes ([`RingProbe`]
+//!   reading [`RingLiveState`]) and the watchdog trips so far.
 //! * [`FlightRecorder`] — a bounded drop-oldest ring of the most recent
 //!   completed spans per `(rank, role)` lane, always on in O(capacity)
 //!   memory, dumpable at any moment into an ordinary
 //!   [`TraceData`] ([`FlightRecorder::dump`]) so [`crate::analysis`]
 //!   works on live runs without unbounded capture.
-//! * [`LiveSession`] — the sampler thread: emits one snapshot per
-//!   period, runs the **stall watchdog** (any ring whose in-flight
-//!   push/pop wait exceeds a deadline trips it, capturing a flight dump
-//!   with ring attribution and recording a `watchdog.trip` event), and
-//!   returns a [`LiveOutcome`] when stopped.
-//! * **Progress/ETA** — [`LiveRegistry::plan_stage`] declares each
-//!   stage's expected item count (and optionally a model-predicted
-//!   aggregate busy time, from `ct-perfmodel` upstream); snapshots then
-//!   carry percent-complete, an ETA and per-stage live model-vs-measured
-//!   divergence ([`ProgressSnapshot`]).
+//! * [`LiveSession`] — the **stall watchdog** thread: it polls every
+//!   ring probe at a quarter of the deadline, and any ring side whose
+//!   in-flight push/pop wait exceeds the deadline trips it, capturing a
+//!   flight dump with ring attribution and recording a `watchdog.trip`
+//!   event in the trace. [`LiveSession::stop`] returns a
+//!   [`LiveOutcome`].
 //!
 //! Both hooks attach to a [`Recorder`] (see [`Recorder::attach_live`]);
 //! spans recorded through the normal [`crate::Track`] machinery feed the
@@ -37,37 +31,24 @@
 pub use crate::analysis::StallKind;
 
 use crate::clock::{Duration, Instant};
-use crate::jsonw::{arr, Obj};
 use crate::recorder::{Recorder, ThreadRole};
-use crate::trace::{Hist, SpanEvent, TraceData};
+use crate::trace::{SpanEvent, TraceData};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Version tag on every [`MetricsSnapshot`] frame; consumers (the
-/// `monitor` bin, CI) reject frames from a different schema.
-pub const SNAPSHOT_VERSION: u64 = 1;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // A panicked pipeline thread must not take live telemetry with it.
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Per-stage live completion cell: how many items finished, how much
-/// busy time they took, and their latency distribution. All-atomic on
-/// the write path except the histogram, which takes a per-stage mutex
-/// held for a few instructions.
+/// Per-stage live completion cell: how many items finished and how much
+/// busy time they took. Two relaxed atomics on the write path.
 #[derive(Debug, Default)]
 pub struct StageCell {
     done: AtomicU64,
     busy_ns: AtomicU64,
-    planned: AtomicU64,
-    /// `f64::to_bits` of the predicted aggregate busy seconds (0 bits =
-    /// no prediction).
-    predicted_bits: AtomicU64,
-    hist: Mutex<Hist>,
 }
 
 impl StageCell {
@@ -76,12 +57,10 @@ impl StageCell {
         self.record_batch(1, dur_ns)
     }
 
-    /// Record `n` completed items that together took `dur_ns` (one
-    /// histogram sample for the whole batch).
+    /// Record `n` completed items that together took `dur_ns`.
     pub fn record_batch(&self, n: u64, dur_ns: u64) {
         self.done.fetch_add(n, Relaxed);
         self.busy_ns.fetch_add(dur_ns, Relaxed);
-        lock(&self.hist).record(dur_ns);
     }
 
     /// Items completed so far.
@@ -92,23 +71,6 @@ impl StageCell {
     /// Summed busy nanoseconds so far.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns.load(Relaxed)
-    }
-
-    /// Expected item count (0 = unplanned).
-    pub fn planned(&self) -> u64 {
-        self.planned.load(Relaxed)
-    }
-
-    /// Model-predicted aggregate busy seconds, if declared.
-    pub fn predicted_secs(&self) -> Option<f64> {
-        let bits = self.predicted_bits.load(Relaxed);
-        (bits != 0).then(|| f64::from_bits(bits))
-    }
-
-    fn set_plan(&self, planned: u64, predicted_secs: Option<f64>) {
-        self.planned.store(planned, Relaxed);
-        self.predicted_bits
-            .store(predicted_secs.map_or(0, f64::to_bits), Relaxed);
     }
 }
 
@@ -144,16 +106,6 @@ pub struct RingLiveState {
 }
 
 impl RingLiveState {
-    /// Summed completed push-stall time in seconds.
-    pub fn push_stall_secs(&self) -> f64 {
-        self.push_stall_ns as f64 / 1e9
-    }
-
-    /// Summed completed pop-stall time in seconds.
-    pub fn pop_stall_secs(&self) -> f64 {
-        self.pop_stall_ns as f64 / 1e9
-    }
-
     /// The current in-flight wait for one side, nanoseconds.
     pub fn cur_wait_ns(&self, kind: StallKind) -> u64 {
         match kind {
@@ -163,8 +115,7 @@ impl RingLiveState {
     }
 
     /// The worst wait this ring has seen or is seeing: the max over
-    /// completed stall maxima and the current in-flight waits. This is
-    /// what `monitor --max-stall-ms` gates on.
+    /// completed stall maxima and the current in-flight waits.
     pub fn worst_wait_ns(&self) -> u64 {
         self.max_push_stall_ns
             .max(self.max_pop_stall_ns)
@@ -174,7 +125,7 @@ impl RingLiveState {
 }
 
 /// A named closure that reads one ring's [`RingLiveState`]. Registered
-/// via [`LiveRegistry::watch_ring`]; sampled by the sampler thread.
+/// via [`LiveRegistry::watch_ring`]; polled by the watchdog thread.
 #[derive(Clone)]
 pub struct RingProbe {
     name: String,
@@ -215,8 +166,6 @@ impl fmt::Debug for RingProbe {
 /// One watchdog trip: a ring lane exceeded the stall deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WatchdogTrip {
-    /// Snapshot sequence number the trip was detected in.
-    pub seq: u64,
     /// Time since registry origin, nanoseconds.
     pub t_ns: u64,
     /// The ring probe's name.
@@ -230,12 +179,8 @@ pub struct WatchdogTrip {
 #[derive(Debug)]
 struct RegistryInner {
     origin: Instant,
-    seq: AtomicU64,
-    trip_count: AtomicU64,
     stages: Mutex<BTreeMap<String, Arc<StageCell>>>,
     rings: Mutex<Vec<RingProbe>>,
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     trips: Mutex<Vec<WatchdogTrip>>,
     trip_dump: Mutex<Option<TraceData>>,
 }
@@ -244,20 +189,16 @@ impl Default for RegistryInner {
     fn default() -> Self {
         Self {
             origin: crate::clock::now(),
-            seq: AtomicU64::new(0),
-            trip_count: AtomicU64::new(0),
             stages: Mutex::new(BTreeMap::new()),
             rings: Mutex::new(Vec::new()),
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
             trips: Mutex::new(Vec::new()),
             trip_dump: Mutex::new(None),
         }
     }
 }
 
-/// The live-metrics registry: cheap-to-clone handle shared by the
-/// pipeline threads (writers) and the sampler (reader).
+/// The live registry: cheap-to-clone handle shared by the pipeline
+/// threads (writers) and the watchdog (reader).
 #[derive(Debug, Clone, Default)]
 pub struct LiveRegistry {
     inner: Arc<RegistryInner>,
@@ -285,42 +226,9 @@ impl LiveRegistry {
         )
     }
 
-    /// Declare a stage's expected item count and (optionally) its
-    /// model-predicted **aggregate** busy seconds — the per-participant
-    /// model time summed over every rank/thread feeding this cell, so
-    /// live divergence compares like with like.
-    pub fn plan_stage(&self, name: &str, planned: u64, predicted_secs: Option<f64>) {
-        self.stage(name).set_plan(planned, predicted_secs);
-    }
-
-    /// Register a ring probe for sampling and watchdog checks.
+    /// Register a ring probe for watchdog checks.
     pub fn watch_ring(&self, probe: RingProbe) {
         lock(&self.inner.rings).push(probe);
-    }
-
-    /// Get-or-create a named cumulative counter.
-    pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        let mut counters = lock(&self.inner.counters);
-        Arc::clone(
-            counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    /// Get-or-create a named high-water gauge (update with `fetch_max`).
-    pub fn gauge(&self, name: &str) -> Arc<AtomicU64> {
-        let mut gauges = lock(&self.inner.gauges);
-        Arc::clone(
-            gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    /// Watchdog trips recorded so far.
-    pub fn trip_count(&self) -> u64 {
-        self.inner.trip_count.load(Relaxed)
     }
 
     /// All watchdog trips, in detection order.
@@ -336,544 +244,12 @@ impl LiveRegistry {
     /// Record a watchdog trip (and keep the first accompanying flight
     /// dump). Returns the new trip count.
     pub fn record_trip(&self, trip: WatchdogTrip, dump: Option<TraceData>) -> u64 {
-        lock(&self.inner.trips).push(trip);
         if let Some(d) = dump {
             lock(&self.inner.trip_dump).get_or_insert(d);
         }
-        self.inner.trip_count.fetch_add(1, Relaxed) + 1
-    }
-
-    fn sample_rings(&self) -> Vec<RingSample> {
-        let probes: Vec<RingProbe> = lock(&self.inner.rings).clone();
-        probes
-            .iter()
-            .map(|p| RingSample {
-                name: p.name().to_string(),
-                state: p.read(),
-            })
-            .collect()
-    }
-
-    fn snapshot_with_rings(&self, rings: Vec<RingSample>) -> MetricsSnapshot {
-        let t_ns = self.elapsed_ns();
-        let seq = self.inner.seq.fetch_add(1, Relaxed);
-        let stages: Vec<StageSnapshot> = lock(&self.inner.stages)
-            .iter()
-            .map(|(name, cell)| {
-                let hist = lock(&cell.hist).clone();
-                StageSnapshot {
-                    name: name.clone(),
-                    done: cell.done(),
-                    planned: cell.planned(),
-                    busy_ns: cell.busy_ns(),
-                    p50_ns: hist.quantile_ns(0.50),
-                    p95_ns: hist.quantile_ns(0.95),
-                    p99_ns: hist.quantile_ns(0.99),
-                    predicted_secs: cell.predicted_secs().unwrap_or(0.0),
-                }
-            })
-            .collect();
-        let counters: Vec<(String, u64)> = lock(&self.inner.counters)
-            .iter()
-            .map(|(n, v)| (n.clone(), v.load(Relaxed)))
-            .collect();
-        let gauges: Vec<(String, u64)> = lock(&self.inner.gauges)
-            .iter()
-            .map(|(n, v)| (n.clone(), v.load(Relaxed)))
-            .collect();
-        let progress = progress_of(t_ns, &stages);
-        MetricsSnapshot {
-            version: SNAPSHOT_VERSION,
-            seq,
-            t_ns,
-            stages,
-            rings,
-            counters,
-            gauges,
-            watchdog_trips: self.trip_count(),
-            progress,
-        }
-    }
-
-    /// Sample everything into one frame (bumps the sequence number).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.snapshot_with_rings(self.sample_rings())
-    }
-
-    /// The current frame rendered as a Prometheus-style exposition.
-    pub fn prometheus(&self) -> String {
-        self.snapshot().to_prometheus()
-    }
-}
-
-/// Derive progress/ETA from the planned stages of a frame.
-fn progress_of(t_ns: u64, stages: &[StageSnapshot]) -> Option<ProgressSnapshot> {
-    let planned: Vec<&StageSnapshot> = stages.iter().filter(|s| s.planned > 0).collect();
-    if planned.is_empty() {
-        return None;
-    }
-    // Weight stages by model-predicted busy time when every planned
-    // stage has one (the honest weighting: a back-projection item is
-    // worth far more wall time than a load item); fall back to item
-    // counts otherwise.
-    let model_weighted = planned.iter().all(|s| s.predicted_secs > 0.0);
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for s in &planned {
-        let w = if model_weighted {
-            s.predicted_secs
-        } else {
-            s.planned as f64
-        };
-        num += w * (s.done.min(s.planned) as f64 / s.planned as f64);
-        den += w;
-    }
-    let frac = if den > 0.0 { num / den } else { 0.0 };
-    let eta_ns = if frac > 0.0 && frac < 1.0 {
-        (t_ns as f64 * (1.0 - frac) / frac) as u64
-    } else {
-        0
-    };
-    let divergence = planned
-        .iter()
-        .filter(|s| s.predicted_secs > 0.0 && s.done > 0)
-        .map(|s| {
-            // Extrapolate the measured busy time to stage completion and
-            // compare with the model: >1 means slower than predicted.
-            let measured = s.busy_ns as f64 / 1e9;
-            let extrapolated = measured * s.planned as f64 / s.done as f64;
-            (s.name.clone(), extrapolated / s.predicted_secs)
-        })
-        .collect();
-    Some(ProgressSnapshot {
-        frac,
-        eta_ns,
-        divergence,
-    })
-}
-
-/// One ring's sample inside a frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RingSample {
-    /// The probe name.
-    pub name: String,
-    /// The state read from it.
-    pub state: RingLiveState,
-}
-
-/// One stage's sample inside a frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageSnapshot {
-    /// Stage name.
-    pub name: String,
-    /// Items completed.
-    pub done: u64,
-    /// Items expected (0 = unplanned).
-    pub planned: u64,
-    /// Summed busy nanoseconds.
-    pub busy_ns: u64,
-    /// Live p50 latency estimate, nanoseconds.
-    pub p50_ns: u64,
-    /// Live p95 latency estimate, nanoseconds.
-    pub p95_ns: u64,
-    /// Live p99 latency estimate, nanoseconds.
-    pub p99_ns: u64,
-    /// Model-predicted aggregate busy seconds (0 = no prediction).
-    pub predicted_secs: f64,
-}
-
-/// Percent-complete / ETA / live divergence, present once at least one
-/// stage has a declared plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgressSnapshot {
-    /// Fraction complete in `[0, 1]`.
-    pub frac: f64,
-    /// Estimated nanoseconds remaining (0 when unknown or done).
-    pub eta_ns: u64,
-    /// `(stage, extrapolated measured / predicted)` for every stage with
-    /// a model prediction and at least one completed item. 1.0 = the
-    /// model is exact; >1 = running slower than predicted.
-    pub divergence: Vec<(String, f64)>,
-}
-
-/// One versioned live-metrics frame.
-///
-/// Frames serialize to single-line JSON ([`Self::to_json`], streamed as
-/// JSONL) and parse back ([`Self::from_json`]); the round-trip is exact
-/// for counts below 2^53 (JSON numbers are doubles).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Schema version ([`SNAPSHOT_VERSION`]).
-    pub version: u64,
-    /// Monotonic frame number within the registry.
-    pub seq: u64,
-    /// Nanoseconds since the registry origin.
-    pub t_ns: u64,
-    /// Per-stage samples, name-sorted.
-    pub stages: Vec<StageSnapshot>,
-    /// Per-ring samples, registration order.
-    pub rings: Vec<RingSample>,
-    /// Named counters, name-sorted.
-    pub counters: Vec<(String, u64)>,
-    /// Named high-water gauges, name-sorted.
-    pub gauges: Vec<(String, u64)>,
-    /// Watchdog trips so far.
-    pub watchdog_trips: u64,
-    /// Progress/ETA, when any stage has a plan.
-    pub progress: Option<ProgressSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Serialize as one line of JSON (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let stages = arr(self.stages.iter().map(|s| {
-            let mut o = Obj::new();
-            o.field_str("name", &s.name)
-                .field_u64("done", s.done)
-                .field_u64("planned", s.planned)
-                .field_u64("busy_ns", s.busy_ns)
-                .field_u64("p50_ns", s.p50_ns)
-                .field_u64("p95_ns", s.p95_ns)
-                .field_u64("p99_ns", s.p99_ns)
-                .field_f64("predicted_secs", s.predicted_secs);
-            o.finish()
-        }));
-        let rings = arr(self.rings.iter().map(|r| {
-            let mut o = Obj::new();
-            o.field_str("name", &r.name)
-                .field_u64("capacity", r.state.capacity as u64)
-                .field_u64("len", r.state.len as u64)
-                .field_u64("high_water", r.state.high_water as u64)
-                .field_u64("push_stalls", r.state.push_stalls)
-                .field_u64("pop_stalls", r.state.pop_stalls)
-                .field_u64("push_stall_ns", r.state.push_stall_ns)
-                .field_u64("pop_stall_ns", r.state.pop_stall_ns)
-                .field_u64("max_push_stall_ns", r.state.max_push_stall_ns)
-                .field_u64("max_pop_stall_ns", r.state.max_pop_stall_ns)
-                .field_u64("cur_push_wait_ns", r.state.cur_push_wait_ns)
-                .field_u64("cur_pop_wait_ns", r.state.cur_pop_wait_ns);
-            o.finish()
-        }));
-        let named = |pairs: &[(String, u64)]| {
-            arr(pairs.iter().map(|(n, v)| {
-                let mut o = Obj::new();
-                o.field_str("name", n).field_u64("value", *v);
-                o.finish()
-            }))
-        };
-        let mut o = Obj::new();
-        o.field_u64("v", self.version)
-            .field_u64("seq", self.seq)
-            .field_u64("t_ns", self.t_ns)
-            .field_raw("stages", &stages)
-            .field_raw("rings", &rings)
-            .field_raw("counters", &named(&self.counters))
-            .field_raw("gauges", &named(&self.gauges))
-            .field_u64("watchdog_trips", self.watchdog_trips);
-        if let Some(p) = &self.progress {
-            let div = arr(p.divergence.iter().map(|(n, r)| {
-                let mut o = Obj::new();
-                o.field_str("stage", n).field_f64("ratio", *r);
-                o.finish()
-            }));
-            let mut po = Obj::new();
-            po.field_f64("frac", p.frac)
-                .field_u64("eta_ns", p.eta_ns)
-                .field_raw("divergence", &div);
-            o.field_raw("progress", &po.finish());
-        }
-        o.finish()
-    }
-
-    /// Parse one JSONL line back into a frame. Rejects unknown schema
-    /// versions and malformed documents with a description.
-    pub fn from_json(line: &str) -> Result<MetricsSnapshot, String> {
-        use crate::chrome::json::Value;
-        let doc = crate::chrome::json::parse(line)?;
-        let u = |v: &Value, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|x| x.as_f64())
-                .map(|f| f as u64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let f = |v: &Value, key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let s = |v: &Value, key: &str| -> Result<String, String> {
-            v.get(key)
-                .and_then(|x| x.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        };
-        let a = |v: &Value, key: &str| -> Result<Vec<Value>, String> {
-            match v.get(key) {
-                Some(x) => x
-                    .as_array()
-                    .map(<[Value]>::to_vec)
-                    .ok_or_else(|| format!("field {key:?} is not an array")),
-                None => Ok(Vec::new()),
-            }
-        };
-        let version = u(&doc, "v")?;
-        if version != SNAPSHOT_VERSION {
-            return Err(format!(
-                "snapshot schema v{version}, this build reads v{SNAPSHOT_VERSION}"
-            ));
-        }
-        let stages = a(&doc, "stages")?
-            .iter()
-            .map(|v| {
-                Ok(StageSnapshot {
-                    name: s(v, "name")?,
-                    done: u(v, "done")?,
-                    planned: u(v, "planned")?,
-                    busy_ns: u(v, "busy_ns")?,
-                    p50_ns: u(v, "p50_ns")?,
-                    p95_ns: u(v, "p95_ns")?,
-                    p99_ns: u(v, "p99_ns")?,
-                    predicted_secs: f(v, "predicted_secs")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let rings = a(&doc, "rings")?
-            .iter()
-            .map(|v| {
-                Ok(RingSample {
-                    name: s(v, "name")?,
-                    state: RingLiveState {
-                        capacity: u(v, "capacity")? as usize,
-                        len: u(v, "len")? as usize,
-                        high_water: u(v, "high_water")? as usize,
-                        push_stalls: u(v, "push_stalls")?,
-                        pop_stalls: u(v, "pop_stalls")?,
-                        push_stall_ns: u(v, "push_stall_ns")?,
-                        pop_stall_ns: u(v, "pop_stall_ns")?,
-                        max_push_stall_ns: u(v, "max_push_stall_ns")?,
-                        max_pop_stall_ns: u(v, "max_pop_stall_ns")?,
-                        cur_push_wait_ns: u(v, "cur_push_wait_ns")?,
-                        cur_pop_wait_ns: u(v, "cur_pop_wait_ns")?,
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let named = |key: &str| -> Result<Vec<(String, u64)>, String> {
-            a(&doc, key)?
-                .iter()
-                .map(|v| Ok((s(v, "name")?, u(v, "value")?)))
-                .collect()
-        };
-        let progress = match doc.get("progress") {
-            None => None,
-            Some(p) => Some(ProgressSnapshot {
-                frac: f(p, "frac")?,
-                eta_ns: u(p, "eta_ns")?,
-                divergence: a(p, "divergence")?
-                    .iter()
-                    .map(|v| Ok((s(v, "stage")?, f(v, "ratio")?)))
-                    .collect::<Result<Vec<_>, String>>()?,
-            }),
-        };
-        Ok(MetricsSnapshot {
-            version,
-            seq: u(&doc, "seq")?,
-            t_ns: u(&doc, "t_ns")?,
-            stages,
-            rings,
-            counters: named("counters")?,
-            gauges: named("gauges")?,
-            watchdog_trips: u(&doc, "watchdog_trips")?,
-            progress,
-        })
-    }
-
-    /// Render as a Prometheus text exposition: every `ifdk_*` family
-    /// carries `# HELP` and `# TYPE` lines, counters end in `_total`,
-    /// and time/size series use base-unit suffixes (`_seconds`,
-    /// `_bytes`) per the exposition-format conventions, so the output
-    /// scrapes cleanly into a real Prometheus without relabelling.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        fn family(out: &mut String, name: &str, help: &str, kind: &str) {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {kind}");
-        }
-        family(
-            &mut out,
-            "ifdk_snapshot_seq",
-            "Sequence number of this metrics frame.",
-            "gauge",
-        );
-        let _ = writeln!(out, "ifdk_snapshot_seq {}", self.seq);
-        family(
-            &mut out,
-            "ifdk_uptime_seconds",
-            "Seconds since the live registry started sampling.",
-            "gauge",
-        );
-        let _ = writeln!(out, "ifdk_uptime_seconds {}", self.t_ns as f64 / 1e9);
-        family(
-            &mut out,
-            "ifdk_watchdog_trips_total",
-            "Stall-watchdog trips recorded so far.",
-            "counter",
-        );
-        let _ = writeln!(out, "ifdk_watchdog_trips_total {}", self.watchdog_trips);
-        if !self.stages.is_empty() {
-            family(
-                &mut out,
-                "ifdk_stage_done_total",
-                "Work items completed per pipeline stage.",
-                "counter",
-            );
-            for s in &self.stages {
-                let _ = writeln!(
-                    out,
-                    "ifdk_stage_done_total{{stage=\"{}\"}} {}",
-                    s.name, s.done
-                );
-            }
-            family(
-                &mut out,
-                "ifdk_stage_busy_seconds_total",
-                "Cumulative busy seconds per pipeline stage.",
-                "counter",
-            );
-            for s in &self.stages {
-                let _ = writeln!(
-                    out,
-                    "ifdk_stage_busy_seconds_total{{stage=\"{}\"}} {}",
-                    s.name,
-                    s.busy_ns as f64 / 1e9
-                );
-            }
-            for (suffix, help, pick) in [
-                (
-                    "p50",
-                    "Median per-item latency per stage, seconds.",
-                    (|s: &StageSnapshot| s.p50_ns) as fn(&StageSnapshot) -> u64,
-                ),
-                (
-                    "p95",
-                    "95th-percentile per-item latency per stage, seconds.",
-                    |s: &StageSnapshot| s.p95_ns,
-                ),
-                (
-                    "p99",
-                    "99th-percentile per-item latency per stage, seconds.",
-                    |s: &StageSnapshot| s.p99_ns,
-                ),
-            ] {
-                family(
-                    &mut out,
-                    &format!("ifdk_stage_{suffix}_seconds"),
-                    help,
-                    "gauge",
-                );
-                for s in &self.stages {
-                    let _ = writeln!(
-                        out,
-                        "ifdk_stage_{suffix}_seconds{{stage=\"{}\"}} {}",
-                        s.name,
-                        pick(s) as f64 / 1e9
-                    );
-                }
-            }
-        }
-        if !self.rings.is_empty() {
-            family(
-                &mut out,
-                "ifdk_ring_len",
-                "Current occupancy of each circular buffer.",
-                "gauge",
-            );
-            for r in &self.rings {
-                let _ = writeln!(out, "ifdk_ring_len{{ring=\"{}\"}} {}", r.name, r.state.len);
-            }
-            family(
-                &mut out,
-                "ifdk_ring_worst_wait_seconds",
-                "Worst observed blocked wait per ring (completed or in flight), seconds.",
-                "gauge",
-            );
-            for r in &self.rings {
-                let _ = writeln!(
-                    out,
-                    "ifdk_ring_worst_wait_seconds{{ring=\"{}\"}} {}",
-                    r.name,
-                    r.state.worst_wait_ns() as f64 / 1e9
-                );
-            }
-            family(
-                &mut out,
-                "ifdk_ring_push_stall_seconds_total",
-                "Cumulative seconds producers spent blocked on a full ring.",
-                "counter",
-            );
-            for r in &self.rings {
-                let _ = writeln!(
-                    out,
-                    "ifdk_ring_push_stall_seconds_total{{ring=\"{}\"}} {}",
-                    r.name,
-                    r.state.push_stall_ns as f64 / 1e9
-                );
-            }
-            family(
-                &mut out,
-                "ifdk_ring_pop_stall_seconds_total",
-                "Cumulative seconds consumers spent blocked on an empty ring.",
-                "counter",
-            );
-            for r in &self.rings {
-                let _ = writeln!(
-                    out,
-                    "ifdk_ring_pop_stall_seconds_total{{ring=\"{}\"}} {}",
-                    r.name,
-                    r.state.pop_stall_ns as f64 / 1e9
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            family(
-                &mut out,
-                "ifdk_counter_total",
-                "Named application counters mirrored from the recorder.",
-                "counter",
-            );
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "ifdk_counter_total{{name=\"{name}\"}} {v}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            family(
-                &mut out,
-                "ifdk_gauge",
-                "Named application gauges mirrored from the recorder.",
-                "gauge",
-            );
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "ifdk_gauge{{name=\"{name}\"}} {v}");
-            }
-        }
-        if let Some(p) = &self.progress {
-            family(
-                &mut out,
-                "ifdk_progress_ratio",
-                "Fraction of planned pipeline work completed, 0 to 1.",
-                "gauge",
-            );
-            let _ = writeln!(out, "ifdk_progress_ratio {}", p.frac);
-            family(
-                &mut out,
-                "ifdk_eta_seconds",
-                "Estimated seconds until pipeline completion.",
-                "gauge",
-            );
-            let _ = writeln!(out, "ifdk_eta_seconds {}", p.eta_ns as f64 / 1e9);
-        }
-        out
+        let mut trips = lock(&self.inner.trips);
+        trips.push(trip);
+        trips.len() as u64
     }
 }
 
@@ -958,11 +334,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Per-lane capacity, spans.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
     /// Get-or-create the lane for `(rank, role)`.
     pub fn lane(&self, rank: u32, role: ThreadRole) -> FlightLane {
         lock(&self.inner.lanes)
@@ -992,20 +363,18 @@ impl FlightRecorder {
     }
 }
 
-/// Sampler configuration for a [`LiveSession`].
+/// Watchdog configuration for a [`LiveSession`].
 #[derive(Debug, Clone)]
 pub struct LiveOptions {
-    /// Sampling period.
-    pub period: Duration,
     /// Stall-watchdog deadline: a ring side blocked longer than this
-    /// trips the watchdog. `None` disables the watchdog.
+    /// trips the watchdog, which polls at a quarter of it. `None` runs
+    /// no watchdog thread.
     pub stall_deadline: Option<Duration>,
 }
 
 impl Default for LiveOptions {
     fn default() -> Self {
         Self {
-            period: Duration::from_millis(100),
             stall_deadline: Some(Duration::from_secs(30)),
         }
     }
@@ -1014,10 +383,6 @@ impl Default for LiveOptions {
 /// What a live session observed, returned by [`LiveSession::stop`].
 #[derive(Debug)]
 pub struct LiveOutcome {
-    /// Frames emitted (the final frame is always taken at stop).
-    pub snapshots: u64,
-    /// The final frame.
-    pub last: Option<MetricsSnapshot>,
     /// All watchdog trips, in order.
     pub trips: Vec<WatchdogTrip>,
     /// Flight dump captured at the *first* trip (the run's state when
@@ -1026,99 +391,82 @@ pub struct LiveOutcome {
     /// Flight dump taken at stop (the run's last `capacity` spans per
     /// lane), if a flight recorder was attached.
     pub flight_dump: Option<TraceData>,
-    /// First JSONL sink write error, if the stream failed mid-run.
-    pub write_error: Option<String>,
 }
 
-type SamplerResult = (u64, Option<MetricsSnapshot>, Option<String>);
-
-/// The sampler thread: one [`MetricsSnapshot`] per period to an optional
-/// JSONL sink, with the stall watchdog in the same loop. Start it just
-/// before launching the pipeline, [`Self::stop`] it right after.
+/// The stall watchdog: one thread polling every ring probe until
+/// stopped. Start it just before launching the pipeline,
+/// [`Self::stop`] it right after.
 #[derive(Debug)]
 pub struct LiveSession {
     stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: std::thread::JoinHandle<SamplerResult>,
+    watchdog: Option<std::thread::JoinHandle<()>>,
     registry: LiveRegistry,
     flight: Option<FlightRecorder>,
 }
 
 impl LiveSession {
-    /// Spawn the sampler.
+    /// Spawn the watchdog (none without a stall deadline).
     ///
     /// `recorder` is where `watchdog.trip` events land (rank 0, role
     /// `Other`); pass the same recorder the pipeline records into so
-    /// trips show up in the final capture. `sink` receives one JSON line
-    /// per frame; write failures are remembered (first one) but do not
-    /// kill the sampler.
+    /// trips show up in the final capture.
     pub fn start(
         registry: LiveRegistry,
         flight: Option<FlightRecorder>,
         recorder: &Recorder,
         opts: LiveOptions,
-        sink: Option<Box<dyn std::io::Write + Send>>,
     ) -> LiveSession {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = Arc::clone(&stop);
-        let reg = registry.clone();
-        let fl = flight.clone();
-        let recorder = recorder.clone();
-        let handle = std::thread::Builder::new()
-            .name("ct-obs-live".into())
-            .spawn(move || sampler_main(reg, fl, recorder, opts, sink, stop2))
-            .expect("spawning the live sampler thread");
+        let watchdog = opts.stall_deadline.map(|deadline| {
+            let stop = Arc::clone(&stop);
+            let reg = registry.clone();
+            let fl = flight.clone();
+            let recorder = recorder.clone();
+            std::thread::Builder::new()
+                .name("ct-obs-watchdog".into())
+                .spawn(move || watchdog_main(reg, fl, recorder, deadline, stop))
+                .expect("spawning the stall watchdog thread")
+        });
         LiveSession {
             stop,
-            handle,
+            watchdog,
             registry,
             flight,
         }
     }
 
-    /// The registry this session samples.
-    pub fn registry(&self) -> &LiveRegistry {
-        &self.registry
-    }
-
-    /// Signal the sampler, join it, and assemble the outcome (a final
-    /// frame is always emitted on the way out).
+    /// Signal the watchdog, join it, and assemble the outcome.
     pub fn stop(self) -> LiveOutcome {
         {
             let (lk, cv) = &*self.stop;
             *lock(lk) = true;
             cv.notify_all();
         }
-        let (snapshots, last, write_error) = match self.handle.join() {
-            Ok(r) => r,
-            Err(_) => (0, None, Some("live sampler thread panicked".to_string())),
-        };
+        if let Some(handle) = self.watchdog {
+            // A panicked watchdog loses only the trips it had not yet
+            // recorded; the run's own result stands.
+            let _ = handle.join();
+        }
         LiveOutcome {
-            snapshots,
-            last,
             trips: self.registry.trips(),
             trip_dump: self.registry.trip_dump(),
             flight_dump: self.flight.as_ref().map(FlightRecorder::dump),
-            write_error,
         }
     }
 }
 
-fn sampler_main(
+fn watchdog_main(
     registry: LiveRegistry,
     flight: Option<FlightRecorder>,
     recorder: Recorder,
-    opts: LiveOptions,
-    mut sink: Option<Box<dyn std::io::Write + Send>>,
+    deadline: Duration,
     stop: Arc<(Mutex<bool>, Condvar)>,
-) -> SamplerResult {
+) {
     // The watchdog's own track: `watchdog.trip` events land on
-    // (rank 0, Other) and merge into the recorder when the sampler ends.
+    // (rank 0, Other) and merge into the recorder when the thread ends.
     let track = recorder.track(0, ThreadRole::Other);
-    let deadline_ns = opts.stall_deadline.map(|d| (d.as_nanos() as u64).max(1));
-    let mut snapshots = 0u64;
-    // Assigned on every loop iteration before any `break`.
-    let mut last: Option<MetricsSnapshot>;
-    let mut write_error: Option<String> = None;
+    let deadline_ns = (deadline.as_nanos() as u64).max(1);
+    let period = (deadline / 4).max(Duration::from_millis(1));
     // Ring sides currently past the deadline: a side trips once per
     // excursion and re-arms when its wait drops back under.
     let mut over: BTreeSet<(String, StallKind)> = BTreeSet::new();
@@ -1128,53 +476,33 @@ fn sampler_main(
             let mut g = lock(lk);
             if !*g {
                 g = cv
-                    .wait_timeout(g, opts.period)
+                    .wait_timeout(g, period)
                     .unwrap_or_else(|p| p.into_inner())
                     .0;
             }
             *g
         };
-
-        let rings = registry.sample_rings();
-        if let Some(deadline_ns) = deadline_ns {
-            watchdog_check(
-                &registry,
-                flight.as_ref(),
-                &track,
-                &rings,
-                deadline_ns,
-                &mut over,
-            );
-        }
-        let snap = registry.snapshot_with_rings(rings);
-        if let Some(w) = sink.as_mut() {
-            let res = writeln!(w, "{}", snap.to_json()).and_then(|()| w.flush());
-            if let (Err(e), None) = (res, write_error.as_ref()) {
-                write_error = Some(format!("live metrics sink: {e}"));
-            }
-        }
-        snapshots += 1;
-        last = Some(snap);
         if stopping {
             break;
         }
+        watchdog_check(&registry, flight.as_ref(), &track, deadline_ns, &mut over);
     }
-    (snapshots, last, write_error)
 }
 
-/// One watchdog pass over freshly sampled ring states.
+/// One watchdog pass over every registered ring.
 fn watchdog_check(
     registry: &LiveRegistry,
     flight: Option<&FlightRecorder>,
     track: &crate::recorder::Track,
-    rings: &[RingSample],
     deadline_ns: u64,
     over: &mut BTreeSet<(String, StallKind)>,
 ) {
-    for r in rings {
+    let probes: Vec<RingProbe> = lock(&registry.inner.rings).clone();
+    for probe in &probes {
+        let state = probe.read();
         for kind in [StallKind::Push, StallKind::Pop] {
-            let wait_ns = r.state.cur_wait_ns(kind);
-            let key = (r.name.clone(), kind);
+            let wait_ns = state.cur_wait_ns(kind);
+            let key = (probe.name().to_string(), kind);
             if wait_ns < deadline_ns {
                 over.remove(&key);
                 continue;
@@ -1183,9 +511,8 @@ fn watchdog_check(
                 continue; // already tripped for this excursion
             }
             let trip = WatchdogTrip {
-                seq: registry.inner.seq.load(Relaxed),
                 t_ns: registry.elapsed_ns(),
-                ring: r.name.clone(),
+                ring: probe.name().to_string(),
                 kind,
                 wait_ns,
             };
@@ -1203,142 +530,15 @@ mod tests {
     use crate::recorder::Track;
 
     #[test]
-    fn stage_cells_accumulate_and_plan() {
+    fn stage_cells_accumulate() {
         let reg = LiveRegistry::new();
         let cell = reg.stage("filter");
         cell.record(1_000);
         cell.record_batch(3, 6_000);
         assert_eq!(cell.done(), 4);
         assert_eq!(cell.busy_ns(), 7_000);
-        assert_eq!(cell.planned(), 0);
-        reg.plan_stage("filter", 8, Some(2.5));
-        assert_eq!(cell.planned(), 8);
-        assert_eq!(cell.predicted_secs(), Some(2.5));
         // Same name returns the same cell.
         assert_eq!(reg.stage("filter").done(), 4);
-    }
-
-    #[test]
-    fn snapshot_counts_and_progress() {
-        let reg = LiveRegistry::new();
-        reg.plan_stage("a", 10, None);
-        reg.plan_stage("b", 10, None);
-        let a = reg.stage("a");
-        for _ in 0..10 {
-            a.record(100);
-        }
-        reg.stage("b").record(100);
-        reg.counter("msgs").fetch_add(7, Relaxed);
-        reg.gauge("hw").fetch_max(3, Relaxed);
-        let snap = reg.snapshot();
-        assert_eq!(snap.version, SNAPSHOT_VERSION);
-        assert_eq!(snap.seq, 0);
-        assert_eq!(snap.counters, vec![("msgs".to_string(), 7)]);
-        assert_eq!(snap.gauges, vec![("hw".to_string(), 3)]);
-        let p = snap.progress.expect("planned stages yield progress");
-        // 10/10 + 1/10 over equal weights = 0.55.
-        assert!((p.frac - 0.55).abs() < 1e-12, "frac {}", p.frac);
-        assert!(p.eta_ns > 0);
-        assert!(p.divergence.is_empty(), "no model predictions declared");
-        // Sequence numbers advance.
-        assert_eq!(reg.snapshot().seq, 1);
-    }
-
-    #[test]
-    fn model_weighted_progress_and_divergence() {
-        let reg = LiveRegistry::new();
-        reg.plan_stage("cheap", 10, Some(1.0));
-        reg.plan_stage("heavy", 10, Some(9.0));
-        let c = reg.stage("cheap");
-        for _ in 0..10 {
-            c.record(200_000_000); // 0.2 s each -> 2 s total vs 1 s predicted
-        }
-        let snap = reg.snapshot();
-        let p = snap.progress.expect("progress");
-        // cheap done (weight 1), heavy untouched (weight 9) -> 10%.
-        assert!((p.frac - 0.1).abs() < 1e-12, "frac {}", p.frac);
-        let (name, ratio) = &p.divergence[0];
-        assert_eq!(name, "cheap");
-        assert!((ratio - 2.0).abs() < 1e-9, "ratio {ratio}");
-    }
-
-    #[test]
-    fn snapshot_json_round_trip() {
-        let reg = LiveRegistry::new();
-        reg.plan_stage("backprojection", 6, Some(0.75));
-        reg.stage("backprojection").record_batch(2, 5_000);
-        reg.counter("comm.msgs").fetch_add(11, Relaxed);
-        reg.watch_ring(RingProbe::new("rank0.ring.bp", || RingLiveState {
-            capacity: 64,
-            len: 3,
-            high_water: 9,
-            push_stalls: 2,
-            pop_stalls: 1,
-            push_stall_ns: 1_500,
-            pop_stall_ns: 700,
-            max_push_stall_ns: 1_000,
-            max_pop_stall_ns: 700,
-            cur_push_wait_ns: 42,
-            cur_pop_wait_ns: 0,
-        }));
-        let snap = reg.snapshot();
-        let line = snap.to_json();
-        assert!(!line.contains('\n'), "one frame = one line");
-        let back = MetricsSnapshot::from_json(&line).expect("round trip parses");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn from_json_rejects_other_versions_and_garbage() {
-        assert!(MetricsSnapshot::from_json("not json").is_err());
-        let err = MetricsSnapshot::from_json(r#"{"v":999,"seq":0,"t_ns":0}"#)
-            .expect_err("future schema rejected");
-        assert!(err.contains("999"), "{err}");
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let reg = LiveRegistry::new();
-        reg.plan_stage("filter", 4, None);
-        reg.stage("filter").record(1_000);
-        reg.watch_ring(RingProbe::new("ring.x", RingLiveState::default));
-        let text = reg.prometheus();
-        assert!(text.contains("ifdk_stage_done_total{stage=\"filter\"} 1"));
-        assert!(text.contains("ifdk_ring_len{ring=\"ring.x\"} 0"));
-        assert!(text.contains("ifdk_progress_ratio 0.25"));
-        assert!(text.contains("# TYPE ifdk_watchdog_trips_total counter"));
-        assert!(text.contains("ifdk_stage_p50_seconds{stage=\"filter\"}"));
-        assert!(text.contains("ifdk_stage_p99_seconds{stage=\"filter\"}"));
-        assert!(text.contains("ifdk_ring_push_stall_seconds_total{ring=\"ring.x\"} 0"));
-        assert!(text.contains("ifdk_ring_pop_stall_seconds_total{ring=\"ring.x\"} 0"));
-        // Exposition-format hygiene: every exported family has HELP and
-        // TYPE, every TYPE'd family is exported, and counters end in
-        // `_total`.
-        let mut typed = std::collections::BTreeSet::new();
-        let mut helped = std::collections::BTreeSet::new();
-        let mut exported = std::collections::BTreeSet::new();
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                let name = it.next().unwrap_or_default().to_string();
-                if it.next() == Some("counter") {
-                    assert!(name.ends_with("_total"), "counter without _total: {name}");
-                }
-                typed.insert(name);
-            } else if let Some(rest) = line.strip_prefix("# HELP ") {
-                helped.insert(
-                    rest.split_whitespace()
-                        .next()
-                        .unwrap_or_default()
-                        .to_string(),
-                );
-            } else if !line.is_empty() {
-                let name = line.split(['{', ' ']).next().unwrap_or_default();
-                exported.insert(name.to_string());
-            }
-        }
-        assert_eq!(typed, exported, "every exported family is TYPE'd");
-        assert_eq!(typed, helped, "every TYPE'd family has HELP");
     }
 
     fn ev(name: &'static str, start: u64) -> SpanEvent {
@@ -1390,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn session_emits_frames_and_watchdog_trips_on_stall() {
+    fn session_watchdog_trips_once_per_stall() {
         let rec = Recorder::summary();
         let reg = LiveRegistry::new();
         let flight = FlightRecorder::new(16);
@@ -1411,23 +611,17 @@ mod tests {
             Some(flight),
             &rec,
             LiveOptions {
-                period: Duration::from_millis(2),
                 stall_deadline: Some(Duration::from_millis(10)),
             },
-            None,
         );
         std::thread::sleep(Duration::from_millis(30));
         let outcome = session.stop();
-        assert!(outcome.snapshots >= 2, "{} frames", outcome.snapshots);
-        assert!(outcome.write_error.is_none());
         // The stall was continuously over deadline: exactly one trip
         // (per-excursion dedup), attributed to the right ring and side.
         assert_eq!(outcome.trips.len(), 1, "{:?}", outcome.trips);
         assert_eq!(outcome.trips[0].ring, "ring.bp");
         assert_eq!(outcome.trips[0].kind, StallKind::Push);
         assert!(outcome.trips[0].wait_ns >= 10_000_000);
-        let last = outcome.last.expect("final frame");
-        assert_eq!(last.watchdog_trips, 1);
         // The trip dump is the flight window at trip time.
         let td = outcome.trip_dump.expect("trip dump captured");
         assert_eq!(td.events.len(), 1);
@@ -1440,53 +634,24 @@ mod tests {
         assert_eq!(s.count, 1);
     }
 
-    /// A `'static` in-memory JSONL sink shared with the test thread.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-            lock(&self.0).extend_from_slice(b);
-            Ok(b.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn session_without_watchdog_or_rings_stays_clean() {
         let rec = Recorder::off();
         let reg = LiveRegistry::new();
         reg.stage("filter").record(5);
-        let buf = SharedBuf::default();
         let session = LiveSession::start(
             reg.clone(),
             None,
             &rec,
             LiveOptions {
-                period: Duration::from_millis(5),
                 stall_deadline: None,
             },
-            Some(Box::new(buf.clone())),
         );
         std::thread::sleep(Duration::from_millis(12));
         let outcome = session.stop();
         assert!(outcome.trips.is_empty());
         assert!(outcome.trip_dump.is_none());
         assert!(outcome.flight_dump.is_none());
-        let text = String::from_utf8(lock(&buf.0).clone()).expect("utf8 jsonl");
-        let mut prev_seq = None;
-        let mut frames = 0u64;
-        for line in text.lines() {
-            let snap = MetricsSnapshot::from_json(line).expect("every line parses");
-            if let Some(p) = prev_seq {
-                assert!(snap.seq > p, "sequence numbers increase");
-            }
-            prev_seq = Some(snap.seq);
-            frames += 1;
-        }
-        assert_eq!(frames, outcome.snapshots);
     }
 
     #[test]
@@ -1533,8 +698,8 @@ mod tests {
             "flight record path: {per_op:.1} ns/op exceeds the 2000 ns budget"
         );
 
-        // Live stage-cell record path: two atomics + a short mutex hold.
-        // Budget: 2000 ns/op.
+        // Live stage-cell record path: two relaxed atomics. Budget:
+        // 2000 ns/op.
         let reg = LiveRegistry::new();
         let cell = reg.stage("backprojection");
         let t0 = Instant::now();

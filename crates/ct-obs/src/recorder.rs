@@ -223,16 +223,14 @@ impl Recorder {
                     live,
                     flight,
                     live_cells: RefCell::new(BTreeMap::new()),
-                    live_counters: RefCell::new(BTreeMap::new()),
-                    live_gauges: RefCell::new(BTreeMap::new()),
                 })
             }),
         }
     }
 
-    /// Attach a live-metrics registry: tracks opened *after* this call
-    /// mirror their completed spans, counters and gauges into it as they
-    /// record (see [`crate::live`]). No-op on an `off` recorder (a
+    /// Attach a live registry: tracks opened *after* this call mirror
+    /// their completed spans into its stage cells as they record (see
+    /// [`crate::live`]). No-op on an `off` recorder (a
     /// disabled recorder hands out disabled tracks).
     pub fn attach_live(&self, registry: &crate::live::LiveRegistry) {
         if let Some(inner) = self.inner.as_deref() {
@@ -337,11 +335,9 @@ struct TrackShared {
     live: Option<crate::live::LiveRegistry>,
     /// This lane's flight ring, when a flight recorder was attached.
     flight: Option<crate::live::FlightLane>,
-    /// Per-name caches so the hot path hits the registry's maps once per
+    /// Per-name cache so the hot path hits the registry's map once per
     /// `(track, name)` rather than once per record.
     live_cells: RefCell<BTreeMap<&'static str, Arc<crate::live::StageCell>>>,
-    live_counters: RefCell<BTreeMap<&'static str, Arc<std::sync::atomic::AtomicU64>>>,
-    live_gauges: RefCell<BTreeMap<&'static str, Arc<std::sync::atomic::AtomicU64>>>,
 }
 
 impl TrackShared {
@@ -380,28 +376,6 @@ impl TrackShared {
                 deps,
             });
         }
-    }
-
-    fn live_counter_add(&self, name: &'static str, delta: u64) {
-        let Some(reg) = self.live.as_ref() else {
-            return;
-        };
-        let mut counters = self.live_counters.borrow_mut();
-        counters
-            .entry(name)
-            .or_insert_with(|| reg.counter(name))
-            .fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn live_gauge_max(&self, name: &'static str, value: u64) {
-        let Some(reg) = self.live.as_ref() else {
-            return;
-        };
-        let mut gauges = self.live_gauges.borrow_mut();
-        gauges
-            .entry(name)
-            .or_insert_with(|| reg.gauge(name))
-            .fetch_max(value, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -487,19 +461,15 @@ impl Track {
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if let Some(sh) = self.shared.as_ref() {
             *sh.local.borrow_mut().counters.entry(name).or_insert(0) += delta;
-            sh.live_counter_add(name, delta);
         }
     }
 
     /// Raise a high-water-mark gauge (e.g. ring-buffer occupancy).
     pub fn gauge_max(&self, name: &'static str, value: u64) {
         if let Some(sh) = self.shared.as_ref() {
-            {
-                let mut local = sh.local.borrow_mut();
-                let e = local.gauges.entry(name).or_insert(0);
-                *e = (*e).max(value);
-            }
-            sh.live_gauge_max(name, value);
+            let mut local = sh.local.borrow_mut();
+            let e = local.gauges.entry(name).or_insert(0);
+            *e = (*e).max(value);
         }
     }
 
@@ -794,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn attached_hooks_mirror_spans_counters_gauges() {
+    fn attached_hooks_mirror_spans() {
         use crate::live::{FlightRecorder, LiveRegistry};
         let rec = Recorder::summary();
         let reg = LiveRegistry::new();
@@ -806,8 +776,6 @@ mod tests {
             for i in 0..6u64 {
                 let _sp = track.span("filter").with_index(i);
             }
-            track.counter_add("msgs", 2);
-            track.gauge_max("hw", 9);
             track.observe_ns("ring.gather.push_wait", 5_000);
             let now = Instant::now();
             track.record_completed("bp.tile", Some(0), Some(64), now, now);
@@ -817,9 +785,6 @@ mod tests {
         assert_eq!(reg.stage("filter").done(), 6);
         assert_eq!(reg.stage("ring.gather.push_wait").done(), 1);
         assert_eq!(reg.stage("bp.tile").done(), 1);
-        use std::sync::atomic::Ordering::Relaxed;
-        assert_eq!(reg.counter("msgs").load(Relaxed), 2);
-        assert_eq!(reg.gauge("hw").load(Relaxed), 9);
         // The flight lane kept the last `capacity` spans, drop-oldest.
         let dump = flight.dump();
         assert!(rec.collect().events.is_empty(), "summary mode");

@@ -1,14 +1,14 @@
 //! # ct-perfdb — the cross-run performance trajectory store
 //!
 //! Everything else in the workspace measures a *single* run: `gups`
-//! sweeps the kernel, `tracereport` scores pipeline overlap (Eqs. 8-19),
-//! `monitor` gates live stall telemetry. This crate is the memory those
+//! sweeps the kernel, `tracereport` scores pipeline overlap (Eqs. 8-19)
+//! and gates ring stalls and watchdog trips. This crate is the memory those
 //! measurements were missing: a versioned run-record schema
 //! ([`RunRecord`], `ifdk-run/v1`) capturing machine provenance
 //! ([`MachineInfo`] with a stable [`MachineInfo::fingerprint`]), run
 //! configuration ([`RunConfig`]: kernel, threads, grid R×C, tile shape,
 //! problem size) and outcome metrics (named `f64`s: GUPS median+MAD,
-//! overlap efficiency, stage quantiles, watchdog trips), appended to an
+//! overlap efficiency, critical-path seconds, watchdog trips), appended to an
 //! append-only JSONL store ([`PerfDb`]) keyed by machine fingerprint.
 //!
 //! On top of the store sit the analytics the ROADMAP's self-tuning item
@@ -17,8 +17,8 @@
 //! detection over a configurable window, and median-of-last-K
 //! auto-baseline selection so perf gates can follow the trajectory
 //! instead of a hand-regenerated pinned file. The `perfscope` bench bin
-//! is the query front-end; `gups`, `tracereport`, `monitor` and the
-//! distributed example are the producers (`--record <path>`).
+//! is the query front-end; `gups`, `tracereport` and the distributed
+//! example are the producers (`--record <path>`).
 //!
 //! Records serialize through [`ct_obs::jsonw`] and parse through
 //! `ct_obs::chrome::json` — the one JSON codec of the whole workspace,

@@ -51,7 +51,7 @@ pub struct RunConfig {
 /// and the outcome metrics by name.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunRecord {
-    /// Producing tool: `gups`, `tracereport`, `monitor`, `distributed`.
+    /// Producing tool: `gups`, `tracereport`, `distributed`.
     pub source: String,
     /// Wall-clock timestamp in unix milliseconds
     /// (`ct_obs::clock::unix_millis`).

@@ -75,7 +75,7 @@ impl PerfDb {
 /// `perfscope` CLI flags map onto this one-to-one.
 #[derive(Debug, Clone, Default)]
 pub struct Filter {
-    /// Producing tool (`gups`, `tracereport`, `monitor`, `distributed`).
+    /// Producing tool (`gups`, `tracereport`, `distributed`).
     pub source: Option<String>,
     /// Machine fingerprint (16 hex chars, [`crate::MachineInfo::fingerprint`]).
     pub fingerprint: Option<String>,

@@ -8,8 +8,8 @@
 //! so pipelines drain cleanly.
 //!
 //! Stalls are first-class observations, not just counters: every blocked
-//! push or pop records its wait *duration* into a log2 histogram (read it
-//! back with [`RingBuffer::metrics`]), and a buffer built with
+//! push or pop adds its wait *duration* to the stall totals and maxima
+//! (read them back with [`RingBuffer::metrics`]), and a buffer built with
 //! [`RingBuffer::with_wait_spans`] additionally emits a timed
 //! `<name>.push_wait` / `<name>.pop_wait` span on the waiting thread's
 //! ambient [`ct_obs::current`] track — which is how
@@ -23,7 +23,6 @@
 
 use crate::{Condvar, Mutex};
 use ct_obs::clock::{self, Instant};
-use ct_obs::Hist;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -46,10 +45,6 @@ struct State<T> {
     push_stall_max_ns: u64,
     /// Longest single completed pop stall, nanoseconds.
     pop_stall_max_ns: u64,
-    /// log2 histogram of individual push-stall durations.
-    push_stall_hist: Hist,
-    /// log2 histogram of individual pop-stall durations.
-    pop_stall_hist: Hist,
     /// Producers currently blocked inside `push`.
     blocked_pushers: usize,
     /// Consumers currently blocked inside `pop`.
@@ -121,8 +116,6 @@ impl<T> RingBuffer<T> {
                     pop_stall_ns: 0,
                     push_stall_max_ns: 0,
                     pop_stall_max_ns: 0,
-                    push_stall_hist: Hist::default(),
-                    pop_stall_hist: Hist::default(),
                     blocked_pushers: 0,
                     blocked_poppers: 0,
                     push_wait_since: None,
@@ -184,7 +177,6 @@ impl<T> RingBuffer<T> {
             let ns = started.elapsed().as_nanos() as u64;
             st.push_stall_ns += ns;
             st.push_stall_max_ns = st.push_stall_max_ns.max(ns);
-            st.push_stall_hist.record(ns);
             st.blocked_pushers -= 1;
             st.push_wait_since = if st.blocked_pushers == 0 {
                 None
@@ -231,7 +223,6 @@ impl<T> RingBuffer<T> {
             let ns = started.elapsed().as_nanos() as u64;
             st.pop_stall_ns += ns;
             st.pop_stall_max_ns = st.pop_stall_max_ns.max(ns);
-            st.pop_stall_hist.record(ns);
             st.blocked_poppers -= 1;
             st.pop_wait_since = if st.blocked_poppers == 0 {
                 None
@@ -288,15 +279,13 @@ impl<T> RingBuffer<T> {
             pop_stall_ns: st.pop_stall_ns,
             max_push_stall_ns: st.push_stall_max_ns,
             max_pop_stall_ns: st.pop_stall_max_ns,
-            push_stall_hist: st.push_stall_hist.clone(),
-            pop_stall_hist: st.pop_stall_hist.clone(),
         }
     }
 
     /// Live-telemetry snapshot: the [`RingBuffer::metrics`] counters
     /// plus the *in-flight* waits — how long the currently blocked
     /// producer/consumer (if any) has already been waiting. Completed
-    /// stalls only show up in the histograms after the waiter wakes; a
+    /// stalls only show up in the totals after the waiter wakes; a
     /// deadlocked or throttled lane never wakes, so a stall watchdog
     /// must see the wait *while it is happening*. This is what
     /// [`RingBuffer::live_probe`] samples.
@@ -340,7 +329,7 @@ impl<T: Send + 'static> RingBuffer<T> {
 /// consumer is the bottleneck (the paper's back-pressure case: filtering
 /// races ahead of back-projection); a large `pop_stalls` with a low
 /// high-water mark means the producer is. The `*_stall_ns` totals and
-/// histograms say how *costly* those stalls were, not just how frequent.
+/// maxima say how *costly* those stalls were, not just how frequent.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RingMetrics {
     /// Configured capacity.
@@ -361,10 +350,6 @@ pub struct RingMetrics {
     pub max_push_stall_ns: u64,
     /// Longest single completed pop stall, nanoseconds.
     pub max_pop_stall_ns: u64,
-    /// log2 histogram of individual push-stall durations.
-    pub push_stall_hist: Hist,
-    /// log2 histogram of individual pop-stall durations.
-    pub pop_stall_hist: Hist,
 }
 
 impl RingMetrics {
@@ -597,12 +582,9 @@ mod tests {
         let m = rb.metrics();
         assert_eq!((m.push_stalls, m.pop_stalls), (1, 1));
         // Each stall parked on a condvar for at least one scheduler
-        // round-trip; the durations must land in the totals and the
-        // histograms (one sample each).
+        // round-trip; the durations must land in the totals.
         assert!(m.push_stall_ns > 0, "push stall unrecorded: {m:?}");
         assert!(m.pop_stall_ns > 0, "pop stall unrecorded: {m:?}");
-        assert_eq!(m.push_stall_hist.count(), 1);
-        assert_eq!(m.pop_stall_hist.count(), 1);
         // The single stall is also the longest one so far.
         assert_eq!(m.max_push_stall_ns, m.push_stall_ns);
         assert_eq!(m.max_pop_stall_ns, m.pop_stall_ns);
@@ -637,11 +619,6 @@ mod tests {
         let m = rb.metrics();
         assert_eq!(m.high_water, 2);
         assert!(m.push_stalls > 0, "fast producer never stalled: {m:?}");
-        assert_eq!(
-            m.push_stall_hist.count(),
-            m.push_stalls,
-            "one histogram sample per stall"
-        );
         assert!(m.push_stall_ns > 0);
     }
 
@@ -656,7 +633,7 @@ mod tests {
         assert_eq!(s.worst_wait_ns(), 0);
 
         // Block a producer; its wait must be visible *while it waits* —
-        // before any histogram sample exists.
+        // before the stall totals record anything.
         let producer = {
             let rb = rb.clone();
             std::thread::spawn(move || rb.push(1).expect("buffer never closes"))

@@ -152,11 +152,8 @@ fn stall_counters_are_monotone_and_consistent() {
         assert!(end.push_stalls >= mid.push_stalls);
         assert!(end.pop_stalls >= mid.pop_stalls);
         assert!(end.push_stall_ns >= mid.push_stall_ns);
-        // The producer stalled at most once (it is one push call), and
-        // each stall put exactly one sample in the histogram.
+        // The producer stalled at most once (it is one push call).
         assert!(end.push_stalls <= 1);
-        assert_eq!(end.push_stall_hist.count(), end.push_stalls);
-        assert_eq!(end.pop_stall_hist.count(), end.pop_stalls);
         assert_eq!(end.high_water, 1, "capacity-1 ring never exceeds 1");
     });
 }

@@ -72,20 +72,15 @@ use ct_perfmodel::{KernelModel, MachineConfig, ModelBreakdown, ModelInput};
 use ct_pfs::PfsStore;
 use ct_sync::ring::{RingBuffer, RingMetrics};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Duration;
 
 /// Live-telemetry configuration for a distributed run
-/// ([`DistConfig::live`]). While the run executes, a sampler thread
-/// periodically snapshots per-stage completion counters, ring occupancy
-/// and in-flight stall waits into versioned [`ct_obs::live::MetricsSnapshot`]
-/// frames, runs the stall watchdog, and keeps the flight recorder's
-/// bounded per-lane span window. The outcome lands in
-/// [`DistReport::live`].
+/// ([`DistConfig::live`]): while the run executes, a watchdog thread
+/// checks every ring's in-flight stall waits against a deadline, and
+/// the flight recorder keeps a bounded per-lane span window. The
+/// outcome lands in [`DistReport::live`].
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Sampling period for metrics frames.
-    pub period: Duration,
     /// Stall-watchdog deadline: a ring side blocked longer than this
     /// trips the watchdog (flight dump + `watchdog.trip` event). `None`
     /// disables the watchdog.
@@ -93,27 +88,13 @@ pub struct LiveConfig {
     /// Flight-recorder window: most recent completed spans kept per
     /// `(rank, role)` lane.
     pub flight_capacity: usize,
-    /// Stream one JSON frame per sample to this file (JSONL). `None`
-    /// keeps frames in memory only (the final frame is still returned).
-    pub jsonl_path: Option<PathBuf>,
-    /// Machine side of the analytic model (Eqs. 8-19). With both
-    /// `machine` and `kernel` set, progress/ETA weights stages by
-    /// predicted seconds and each frame carries live model-vs-measured
-    /// divergence; otherwise progress weights by planned item counts.
-    pub machine: Option<MachineConfig>,
-    /// Kernel side of the analytic model.
-    pub kernel: Option<KernelModel>,
 }
 
 impl Default for LiveConfig {
     fn default() -> Self {
         Self {
-            period: Duration::from_millis(100),
             stall_deadline: Some(Duration::from_secs(30)),
             flight_capacity: 512,
-            jsonl_path: None,
-            machine: None,
-            kernel: None,
         }
     }
 }
@@ -150,9 +131,8 @@ pub struct DistConfig {
     /// `Recorder::off()` disables all recording at zero cost — the
     /// per-rank reports then come back empty.
     pub obs: Recorder,
-    /// Live telemetry for the run: periodic metrics frames, stall
-    /// watchdog and flight recorder. `None` (the default) runs without
-    /// a sampler thread.
+    /// Live telemetry for the run: stall watchdog and flight recorder.
+    /// `None` (the default) runs without a watchdog thread.
     pub live: Option<LiveConfig>,
     /// Artificially delay the back-projection thread before each batch.
     /// A fault-injection hook for exercising back-pressure and the
@@ -247,9 +227,9 @@ pub struct DistReport {
     /// the recorder is on), individual span events in trace mode. Export
     /// with `ct_obs::chrome::to_chrome_json`.
     pub trace: TraceData,
-    /// Live-telemetry outcome when [`DistConfig::live`] was set: frame
-    /// count, final frame, watchdog trips (with the flight dump captured
-    /// at the first trip) and the end-of-run flight dump.
+    /// Live-telemetry outcome when [`DistConfig::live`] was set:
+    /// watchdog trips (with the flight dump captured at the first trip)
+    /// and the end-of-run flight dump.
     pub live: Option<LiveOutcome>,
 }
 
@@ -295,29 +275,15 @@ pub fn reconstruct_distributed(
 
     // Live telemetry: attach the registry + flight recorder *before*
     // any pipeline track opens (tracks bind the hooks at creation), and
-    // start the sampler so frames cover the whole run.
+    // start the watchdog so it covers the whole run.
     let mut session: Option<LiveSession> = None;
     let live_reg: Option<LiveRegistry> = match &cfg.live {
         Some(lc) => {
             let registry = LiveRegistry::new();
-            plan_live_stages(cfg, lc, &registry)?;
             let flight = FlightRecorder::new(lc.flight_capacity);
             cfg.obs.attach_live(&registry);
             cfg.obs.attach_flight(&flight);
-            let sink: Option<Box<dyn std::io::Write + Send>> = match &lc.jsonl_path {
-                Some(p) => {
-                    let f = std::fs::File::create(p).map_err(|e| {
-                        CtError::InvalidConfig(format!(
-                            "creating live metrics sink {}: {e}",
-                            p.display()
-                        ))
-                    })?;
-                    Some(Box::new(std::io::BufWriter::new(f)))
-                }
-                None => None,
-            };
             let opts = LiveOptions {
-                period: lc.period,
                 stall_deadline: lc.stall_deadline,
             };
             session = Some(LiveSession::start(
@@ -325,7 +291,6 @@ pub fn reconstruct_distributed(
                 Some(flight),
                 &cfg.obs,
                 opts,
-                sink,
             ));
             Some(registry)
         }
@@ -348,9 +313,9 @@ pub fn reconstruct_distributed(
         .map_err(|e| CtError::InvalidConfig(format!("distributed run failed: {e}")));
 
     let runtime = t0.elapsed().as_secs_f64();
-    // Join the sampler before surfacing any launch error: the thread
-    // must never outlive the call, and its final frame/trips are wanted
-    // even (especially) for failed runs.
+    // Join the watchdog before surfacing any launch error: the thread
+    // must never outlive the call, and its trips are wanted even
+    // (especially) for failed runs.
     let live = session.map(LiveSession::stop);
     cfg.obs.detach_live();
     let (results, traffic) = launched?;
@@ -373,57 +338,6 @@ pub fn reconstruct_distributed(
         trace,
         live,
     })
-}
-
-/// Reads one stage's per-rank seconds out of the analytic model.
-type StageSecs = fn(&ModelBreakdown) -> f64;
-
-/// The six pipeline stages in pipeline order, each with the analytic
-/// model's per-rank seconds for it — the one list the live plan and the
-/// divergence report both walk.
-fn model_stages() -> [(&'static str, StageSecs); 6] {
-    [
-        ("load", |m| m.t_load),
-        ("filter", |m| m.t_flt),
-        ("allgather", |m| m.t_allgather),
-        ("backprojection", |m| m.t_bp),
-        ("reduce", |m| m.t_reduce),
-        ("store", |m| m.t_store),
-    ]
-}
-
-/// Declare the run's planned per-stage span counts (and, with a model
-/// configured, predicted aggregate busy seconds) on the live registry —
-/// what the progress/ETA estimator weighs live completion against.
-/// Counts are cluster-wide: `Np` loads/filters/AllGather ops, the total
-/// back-projection batch count, one reduce per rank, and one store per
-/// row root. Predictions are likewise aggregate: the model's per-rank
-/// stage seconds times the number of ranks doing that stage.
-fn plan_live_stages(cfg: &DistConfig, lc: &LiveConfig, reg: &LiveRegistry) -> Result<()> {
-    let np = cfg.geo.num_projections as u64;
-    let n = cfg.grid.n_ranks() as u64;
-    let rows = cfg.grid.rows as u64;
-    let cols = cfg.grid.cols as u64;
-    // Each rank back-projects its column's Np/C projections in batches.
-    let batches = n * (np / cols).div_ceil(cfg.batch as u64);
-    let model = match (&lc.machine, &lc.kernel) {
-        (Some(machine), Some(kernel)) => {
-            Some(ModelBreakdown::evaluate(&cfg.model_input(machine, kernel)?))
-        }
-        _ => None,
-    };
-    for (name, secs) in model_stages() {
-        // (planned spans, ranks doing the stage); only row roots store.
-        let (planned, ranks) = match name {
-            "backprojection" => (batches, n),
-            "reduce" => (n, n),
-            "store" => (rows, rows),
-            _ => (np, n),
-        };
-        let predicted = model.as_ref().map(|m| secs(m) * ranks as f64);
-        reg.plan_stage(name, planned, predicted);
-    }
-    Ok(())
 }
 
 /// Rebuild one rank's [`TimingReport`] from the capture, combining the
@@ -462,8 +376,15 @@ pub fn model_divergence(
 ) -> Result<DivergenceReport> {
     let model = ModelBreakdown::evaluate(&cfg.model_input(machine, kernel)?);
     let mut div = DivergenceReport::new();
-    for (stage, secs) in model_stages() {
-        div.push(stage, secs(&model), report.max_stage_secs(stage));
+    for (stage, secs) in [
+        ("load", model.t_load),
+        ("filter", model.t_flt),
+        ("allgather", model.t_allgather),
+        ("backprojection", model.t_bp),
+        ("reduce", model.t_reduce),
+        ("store", model.t_store),
+    ] {
+        div.push(stage, secs, report.max_stage_secs(stage));
     }
     div.push("runtime", model.t_runtime, report.runtime_secs);
     Ok(div)
@@ -513,9 +434,9 @@ fn run_rank(
         "ring.bp.push_wait",
         "ring.bp.pop_wait",
     );
-    // Expose each ring's occupancy and *in-flight* stall waits to the
-    // sampler — completed stalls only reach the histograms after the
-    // waiter wakes, so the watchdog needs these live probes.
+    // Expose each ring's *in-flight* stall waits to the watchdog —
+    // completed stalls only reach the trace after the waiter wakes, so
+    // a lane that never wakes shows up only through these probes.
     if let Some(reg) = live {
         reg.watch_ring(to_gather.live_probe(format!("rank{rank}.ring.gather")));
         reg.watch_ring(to_bp.live_probe(format!("rank{rank}.ring.bp")));
@@ -955,80 +876,25 @@ mod tests {
     }
 
     #[test]
-    fn live_session_samples_and_reports_progress() {
+    fn live_session_runs_clean_and_its_flight_dump_analyzes() {
         let (geo, store) = setup(8, 16);
         let mut cfg = DistConfig::new(geo.clone(), RankGrid::new(2, 2).unwrap());
         cfg.obs = Recorder::trace();
-        cfg.live = Some(LiveConfig {
-            period: Duration::from_millis(5),
-            ..LiveConfig::default()
-        });
+        cfg.live = Some(LiveConfig::default());
         let output = PfsStore::memory();
         let report = reconstruct_distributed(&cfg, &store, &output).unwrap();
         let live = report.live.expect("live outcome present");
-        assert!(live.snapshots >= 1, "final frame always emitted");
         assert!(
             live.trips.is_empty(),
             "clean run must not trip the watchdog: {:?}",
             live.trips
         );
-        assert!(live.write_error.is_none());
-        let last = live.last.expect("final frame retained");
-        assert_eq!(last.watchdog_trips, 0);
-        // All planned stages completed: progress is exactly 1.0 and the
-        // ETA has collapsed to zero.
-        let progress = last.progress.expect("planned stages yield progress");
-        assert!(
-            (progress.frac - 1.0).abs() < 1e-9,
-            "final progress {}",
-            progress.frac
-        );
-        assert_eq!(progress.eta_ns, 0);
-        // Both rings of every rank were sampled.
-        assert_eq!(last.rings.len(), 8, "2 rings x 4 ranks");
         // The always-on flight recorder dump is a normal capture: the
         // offline analysis runs on it unchanged.
         let dump = live.flight_dump.expect("flight recorder attached");
         let a = PipelineAnalysis::from_trace(&dump).expect("dump has span events");
         assert!(a.wall_ns > 0);
         assert!(!a.critical_path.is_empty());
-    }
-
-    #[test]
-    fn live_stage_plan_covers_the_whole_run() {
-        let (geo, _) = setup(8, 16);
-        let mut cfg = DistConfig::new(geo, RankGrid::new(2, 2).unwrap());
-        cfg.live = Some(LiveConfig {
-            machine: Some(MachineConfig::abci()),
-            kernel: Some(KernelModel::v100_proposed()),
-            ..LiveConfig::default()
-        });
-        let reg = LiveRegistry::new();
-        plan_live_stages(&cfg, cfg.live.as_ref().unwrap(), &reg).unwrap();
-        // Np = 16, 4 ranks in a 2x2 grid, batch 32: every rank's column
-        // share (8 projections) fits one batch.
-        assert_eq!(reg.stage("load").planned(), 16);
-        assert_eq!(reg.stage("filter").planned(), 16);
-        assert_eq!(reg.stage("allgather").planned(), 16);
-        assert_eq!(reg.stage("backprojection").planned(), 4);
-        assert_eq!(reg.stage("reduce").planned(), 4);
-        // Only the two row roots store.
-        assert_eq!(reg.stage("store").planned(), 2);
-        // With machine + kernel set, every planned stage carries a
-        // model prediction (aggregate seconds across ranks).
-        for s in [
-            "load",
-            "filter",
-            "allgather",
-            "backprojection",
-            "reduce",
-            "store",
-        ] {
-            assert!(
-                reg.stage(s).predicted_secs().is_some(),
-                "stage {s} missing prediction"
-            );
-        }
     }
 
     #[test]

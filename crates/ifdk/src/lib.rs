@@ -30,7 +30,8 @@
 //!   proposed kernel): the sequential reference and the Table 3 door.
 //! * [`reconstruct_pipelined`] / [`reconstruct_pipelined_live`] — the two
 //!   stages overlapped through a circular buffer like one iFDK rank does;
-//!   `_live` runs it on a recorder mirrored into a `LiveRegistry`.
+//!   `_live` runs it on a recorder mirrored into a `LiveRegistry`
+//!   (stage counts and busy time, a ring probe for the stall watchdog).
 //! * [`grid`] — the 2D rank-grid decomposition (paper Section 4.1.1).
 //! * [`RingBuffer`] — the bounded circular buffers connecting pipeline
 //!   threads (Section 4.1.3, Figure 4a), from [`ct_sync::ring`].

@@ -4,8 +4,7 @@
 //! ```text
 //! cargo run --release -p ifdk-examples --bin distributed_reconstruction -- \
 //!     --size 64 --np 64 --rows 4 --cols 4 [--trace trace.json] [--analyze] \
-//!     [--live metrics.jsonl] [--live-period-ms 100] [--stall-ms 30000] \
-//!     [--flight-dump flight.json] [--throttle-bp-ms 0] \
+//!     [--flight-dump flight.json] [--stall-ms 30000] [--throttle-bp-ms 0] \
 //!     [--record trajectory.jsonl]
 //! ```
 //!
@@ -27,13 +26,12 @@
 //! busy/stall/idle utilization, ring-stall attribution and the Eq.-19
 //! overlap-efficiency figure.
 //!
-//! With `--live <path>` the run streams one metrics frame per sampling
-//! period (`--live-period-ms`) to the file as JSONL — progress/ETA,
-//! per-stage quantiles, ring occupancy/stalls — for
-//! `ifdk-bench --bin monitor` to tail and gate. The stall watchdog
-//! (`--stall-ms`, 0 disables) trips on any ring side blocked past the
-//! deadline and snapshots the flight recorder; `--flight-dump <path>`
-//! writes the end-of-run flight window as a Chrome trace.
+//! With `--flight-dump <path>` the run keeps the flight recorder's
+//! bounded per-lane span window and writes it as a Chrome trace at the
+//! end, and the stall watchdog (`--stall-ms`, 0 disables) trips on any
+//! ring side blocked past the deadline: each trip is a `watchdog.trip`
+//! event in the `--trace` capture, which `ifdk-bench --bin tracereport
+//! --max-trips` gates on.
 //! `--throttle-bp-ms` injects a per-batch delay into every
 //! back-projection thread and `--ring-capacity` shrinks the circular
 //! buffers — together a fault injector for demonstrating back-pressure
@@ -41,9 +39,9 @@
 //!
 //! With `--record <path>` the run's outcome — end-to-end seconds, GUPS,
 //! communication traffic, NRMSE vs single-node, overlap efficiency
-//! (when `--analyze`), watchdog trips (when live) — is appended as one
-//! `ifdk-run/v1` record to the `ct-perfdb` trajectory store, keyed by
-//! kernel, grid shape and problem size, so `perfscope`
+//! (when `--analyze`), watchdog trips (with `--flight-dump`) — is
+//! appended as one `ifdk-run/v1` record to the `ct-perfdb` trajectory
+//! store, keyed by kernel, grid shape and problem size, so `perfscope`
 //! can trend distributed runs alongside the bench sweeps.
 
 use ct_core::forward::project_all_analytic;
@@ -59,7 +57,6 @@ use ifdk::{
     ReconOptions,
 };
 use ifdk_examples::{arg_flag, arg_str, arg_usize, ascii_slice, print_table};
-use std::path::PathBuf;
 use std::time::Duration;
 
 fn main() {
@@ -70,8 +67,6 @@ fn main() {
     let cols = arg_usize(&args, "cols", 4);
     let trace_path = arg_str(&args, "trace");
     let analyze = arg_flag(&args, "analyze");
-    let live_path = arg_str(&args, "live");
-    let live_period_ms = arg_usize(&args, "live-period-ms", 100);
     let stall_ms = arg_usize(&args, "stall-ms", 30_000);
     let flight_dump = arg_str(&args, "flight-dump");
     let throttle_bp_ms = arg_usize(&args, "throttle-bp-ms", 0);
@@ -97,18 +92,11 @@ fn main() {
     if trace_path.is_some() || analyze {
         cfg.obs = ct_obs::Recorder::trace();
     }
-    if live_path.is_some() || flight_dump.is_some() {
-        let mut live = LiveConfig {
-            period: Duration::from_millis(live_period_ms as u64),
+    if flight_dump.is_some() {
+        cfg.live = Some(LiveConfig {
             stall_deadline: (stall_ms > 0).then(|| Duration::from_millis(stall_ms as u64)),
-            jsonl_path: live_path.as_ref().map(PathBuf::from),
             ..LiveConfig::default()
-        };
-        // Feed the paper's analytic model in so progress/ETA weights
-        // stages by predicted time and frames carry live divergence.
-        live.machine = Some(MachineConfig::abci());
-        live.kernel = Some(KernelModel::v100_proposed());
-        cfg.live = Some(live);
+        });
     }
     if throttle_bp_ms > 0 {
         cfg.bp_throttle = Some(Duration::from_millis(throttle_bp_ms as u64));
@@ -177,27 +165,15 @@ fn main() {
 
     if let Some(live) = &report.live {
         println!("\nlive telemetry:");
-        println!("  frames sampled : {}", live.snapshots);
-        if let Some(err) = &live.write_error {
-            println!("  stream error   : {err}");
-        } else if let Some(path) = &live_path {
-            println!("  metrics stream : {path} (monitor: ifdk-bench --bin monitor)");
-        }
-        if let Some(last) = &live.last {
-            if let Some(p) = &last.progress {
-                println!("  final progress : {:.1}%", p.frac * 100.0);
-            }
-        }
         if live.trips.is_empty() {
             println!("  watchdog       : no trips");
         } else {
             for trip in &live.trips {
                 println!(
-                    "  watchdog TRIP  : ring {} {:?} blocked {:.1} ms (frame #{})",
+                    "  watchdog TRIP  : ring {} {:?} blocked {:.1} ms",
                     trip.ring,
                     trip.kind,
-                    trip.wait_ns as f64 / 1e6,
-                    trip.seq
+                    trip.wait_ns as f64 / 1e6
                 );
             }
         }
