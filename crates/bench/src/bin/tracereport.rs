@@ -275,6 +275,37 @@ mod tests {
     }
 
     #[test]
+    fn missing_file_is_unreadable_under_the_gates() {
+        let gates = ["--max-trips", "0", "--max-stall-ms", "50"];
+        let gate = run(&args("/nonexistent/ifdk-tracereport-gates.json", &gates));
+        assert!(matches!(gate, Gate::Unreadable(_)), "{gate:?}");
+        assert_eq!(gate.code(), 2);
+    }
+
+    #[test]
+    fn malformed_trace_fails_the_trip_and_stall_gates() {
+        // A trace that cannot be read holds no trips and no waits; the
+        // gates must fail it rather than pass it vacuously.
+        let path = std::env::temp_dir().join("ifdk-tracereport-bad-gates.json");
+        std::fs::write(&path, "{not json").unwrap();
+        let path = path.to_str().unwrap().to_string();
+        for gates in [
+            &["--max-trips", "0"][..],
+            &["--max-stall-ms", "50"],
+            &["--max-trips", "0", "--max-stall-ms", "50"],
+        ] {
+            match run(&args(&path, gates)) {
+                Gate::CheckFailed(msg) => {
+                    assert!(msg.contains(&path), "{gates:?}: {msg}");
+                    assert!(msg.contains("not a valid trace"), "{gates:?}: {msg}");
+                }
+                other => panic!("{gates:?}: expected CheckFailed, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn json_format_still_gates_and_rejects_unknown_formats() {
         let path = trace_file("ifdk-tracereport-json.json");
         let ok = run(&[
