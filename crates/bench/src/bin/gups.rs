@@ -13,11 +13,11 @@
 //! `blocked`) and pool widths 1/2/4, reporting median and
 //! median-absolute-deviation GUPS over warmed-up repeats (Section
 //! 5.3.3's metric). `--json`
-//! writes the machine-readable report `benchdiff` consumes (with
-//! machine provenance in the header); `--record` appends one
-//! `ifdk-run/v1` record per cell to the perf trajectory store
-//! (`perfscope` queries it); `--quick` shrinks the problem and the
-//! layout sweep for CI smoke runs.
+//! writes the machine-readable report (with machine provenance in the
+//! header) for CI artifacts; `--record` appends one `ifdk-run/v1`
+//! record per cell to the perf trajectory store, which `perfscope`
+//! judges; `--quick` shrinks the problem and the layout sweep for CI
+//! smoke runs.
 
 use ct_bp::lanes::LaneSampler;
 use ct_bp::tiled::{backproject_tiled_with, TileConfig};

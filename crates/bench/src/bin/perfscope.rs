@@ -1,549 +1,185 @@
-//! Query the cross-run perf trajectory store (`ct-perfdb` JSONL).
+//! Judge the perf trajectory (`ct-perfdb` JSONL) against itself.
 //!
 //! ```text
-//! cargo run --release -p ifdk-bench --bin perfscope -- <db.jsonl> trend \
-//!     --metric gups_median [--source gups] [--kernel lanes] [--layout transposed] \
-//!     [--threads 1] [--problem '96^3 x 96p'] [--machine self|any|<fingerprint>] \
-//!     [--last K] [--format text|json]
-//! cargo run --release -p ifdk-bench --bin perfscope -- <db.jsonl> check \
-//!     --metric gups_median [--window 8] [--nsigma 4] [--floor 0.05] \
-//!     [--direction higher|lower] [--min-runs 3] [filters...]
-//! cargo run --release -p ifdk-bench --bin perfscope -- <db.jsonl> baseline \
-//!     [--out BENCH_gups_baseline.json] [--last 5] [filters...]
+//! cargo run --release -p ifdk-bench --bin perfscope -- perfdb.jsonl
 //! ```
 //!
-//! Three views over the records the `--record` sinks append:
+//! One rule, no options. The latest `gups` run recorded on this machine
+//! fingerprint (the cells `gups --record` stamped with the newest
+//! `t_unix_ms`) is judged two ways:
 //!
-//! * **trend** — the filtered series as a markdown table (or `--format
-//!   json`, schema `ifdk-perfdb/trend/v1`) with robust median/MAD
-//!   statistics and MAD-based change points (level shifts in either
-//!   direction).
-//! * **check** — a CI regression gate: judge the latest run against the
-//!   median of the preceding `--window` runs; beyond `--nsigma` robust
-//!   z-units on the bad side fails. Fewer than `--min-runs` matching
-//!   runs passes vacuously so a fresh trajectory can bootstrap.
-//! * **baseline** — auto-baseline selection for `benchdiff`: per
-//!   (kernel, layout, threads) cell, the median of the last `--last`
-//!   `gups` runs on the selected machine, emitted as an ordinary
-//!   `ifdk-bench/gups/v1` report.
+//! * **regression** — every (kernel, layout, threads) cell against the
+//!   same cell's earlier runs on the same problem and fingerprint, by
+//!   `analytics::check_latest` under `RegressionPolicy::default()`
+//!   (window 8, 4 robust sigma, 5 % floor). A cell with fewer than
+//!   [`MIN_RUNS`] runs passes, so a new trajectory can start;
+//! * **improvement** — in the same run, `lanes/transposed@1` must reach
+//!   [`MIN_SPEEDUP`] × `warp/transposed@1` (the lane sampler's claim
+//!   over the scalar sampler, same driver, one thread). A missing cell
+//!   fails.
 //!
-//! `--machine` defaults to `any` for **trend** (you want to *see*
-//! cross-machine history) and `self` for **check**/**baseline** (you
-//! never want to gate this box against another box's numbers). Exit
-//! codes follow `ifdk_bench::check`: 0 ok, 1 check failed (regression,
-//! malformed store, empty selection), 2 unreadable file, 3 usage.
+//! It prints one markdown line per cell (runs, baseline median, MAD,
+//! latest, bound, verdict) and the speedup line. Exit codes follow
+//! `ifdk_bench::check`: 0 ok, 1 check failed (regression, too small a
+//! speedup, no run from this machine, malformed store), 2 unreadable
+//! file, 3 any argument besides the path.
 
-use ct_perfdb::{
-    analytics, ChangePoint, Direction, Filter, MachineInfo, PerfDb, RegressionPolicy, RunRecord,
-    Verdict,
-};
-use ifdk_bench::check::Gate;
-use ifdk_bench::gups::{GupsCell, GupsReport};
+use ct_perfdb::{analytics, MachineInfo, PerfDb, RegressionPolicy, RunRecord};
+use ifdk_bench::check::{read_input, Gate};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: perfscope <db.jsonl> <trend|check|baseline> [options]\n\
-  filters:  --source S --kernel K --layout L --threads N --problem P\n\
-            --machine self|any|<fingerprint>\n\
-  trend:    --metric NAME [--last K] [--format text|json]\n\
-  check:    --metric NAME [--window 8] [--nsigma 4] [--floor 0.05]\n\
-            [--direction higher|lower] [--min-runs 3]\n\
-  baseline: [--out PATH] [--last 5]";
+const USAGE: &str = "usage: perfscope <db.jsonl>";
 
-/// Machine selection: this box, all boxes, or an explicit fingerprint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum MachineSel {
-    SelfMachine,
-    Any,
-    Fingerprint(String),
-}
+/// Runs a cell needs (the latest included) before it is judged.
+const MIN_RUNS: usize = 3;
 
-#[derive(Debug, Clone)]
-struct Opts {
-    db: String,
-    command: String,
-    source: Option<String>,
-    kernel: Option<String>,
-    layout: Option<String>,
-    threads: Option<u64>,
-    problem: Option<String>,
-    machine: Option<MachineSel>,
-    metric: Option<String>,
-    last: Option<usize>,
-    window: usize,
-    nsigma: f64,
-    floor: f64,
-    direction: Direction,
-    min_runs: usize,
-    json_out: bool,
-    out: Option<String>,
-}
+/// Required `lanes/transposed@1` over `warp/transposed@1` GUPS ratio.
+const MIN_SPEEDUP: f64 = 1.25;
 
-fn parse_args(args: &[String]) -> Result<Opts, Gate> {
-    let mut positionals: Vec<&str> = Vec::new();
-    let mut opts = Opts {
-        db: String::new(),
-        command: String::new(),
-        source: None,
-        kernel: None,
-        layout: None,
-        threads: None,
-        problem: None,
-        machine: None,
-        metric: None,
-        last: None,
-        window: 8,
-        nsigma: 4.0,
-        floor: 0.05,
-        direction: Direction::Higher,
-        min_runs: 3,
-        json_out: false,
-        out: None,
-    };
-    let usage = |msg: String| Gate::Usage(format!("{msg}\n{USAGE}"));
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if let Some(flag) = a.strip_prefix("--") {
-            let Some(v) = args.get(i + 1) else {
-                return Err(usage(format!("--{flag} needs a value")));
-            };
-            match flag {
-                "source" => opts.source = Some(v.clone()),
-                "kernel" => opts.kernel = Some(v.clone()),
-                "layout" => opts.layout = Some(v.clone()),
-                "problem" => opts.problem = Some(v.clone()),
-                "metric" => opts.metric = Some(v.clone()),
-                "out" => opts.out = Some(v.clone()),
-                "threads" => {
-                    opts.threads =
-                        Some(v.parse::<u64>().map_err(|_| {
-                            usage(format!("--threads must be an integer, got {v:?}"))
-                        })?)
-                }
-                "machine" => {
-                    opts.machine = Some(match v.as_str() {
-                        "self" => MachineSel::SelfMachine,
-                        "any" => MachineSel::Any,
-                        fp if fp.len() == 16 && fp.chars().all(|c| c.is_ascii_hexdigit()) => {
-                            MachineSel::Fingerprint(fp.to_string())
-                        }
-                        other => {
-                            return Err(usage(format!(
-                                "--machine must be self, any or a 16-hex fingerprint, got {other:?}"
-                            )))
-                        }
-                    })
-                }
-                "last" => {
-                    let n = v
-                        .parse::<usize>()
-                        .map_err(|_| usage(format!("--last must be an integer, got {v:?}")))?;
-                    if n == 0 {
-                        return Err(usage("--last must be at least 1".into()));
-                    }
-                    opts.last = Some(n);
-                }
-                "window" => {
-                    let n = v
-                        .parse::<usize>()
-                        .map_err(|_| usage(format!("--window must be an integer, got {v:?}")))?;
-                    if n == 0 {
-                        return Err(usage("--window must be at least 1".into()));
-                    }
-                    opts.window = n;
-                }
-                "min-runs" => {
-                    opts.min_runs = v
-                        .parse::<usize>()
-                        .map_err(|_| usage(format!("--min-runs must be an integer, got {v:?}")))?
-                }
-                "nsigma" => match v.parse::<f64>() {
-                    Ok(f) if f > 0.0 && f.is_finite() => opts.nsigma = f,
-                    _ => {
-                        return Err(usage(format!(
-                            "--nsigma must be a positive number, got {v:?}"
-                        )))
-                    }
-                },
-                "floor" => match v.parse::<f64>() {
-                    Ok(f) if f >= 0.0 && f.is_finite() => opts.floor = f,
-                    _ => {
-                        return Err(usage(format!(
-                            "--floor must be a non-negative number, got {v:?}"
-                        )))
-                    }
-                },
-                "direction" => opts.direction = Direction::parse(v).map_err(usage)?,
-                "format" => match v.as_str() {
-                    "text" => opts.json_out = false,
-                    "json" => opts.json_out = true,
-                    other => {
-                        return Err(usage(format!(
-                            "--format must be text or json, got {other:?}"
-                        )))
-                    }
-                },
-                other => return Err(usage(format!("unknown flag --{other}"))),
-            }
-            i += 2;
-        } else {
-            positionals.push(a);
-            i += 1;
-        }
-    }
-    match positionals.as_slice() {
-        [db, cmd] => {
-            opts.db = db.to_string();
-            opts.command = cmd.to_string();
-        }
-        _ => return Err(Gate::Usage(USAGE.into())),
-    }
-    if !matches!(opts.command.as_str(), "trend" | "check" | "baseline") {
-        return Err(usage(format!(
-            "unknown command {:?} (expected trend, check or baseline)",
-            opts.command
-        )));
-    }
-    Ok(opts)
-}
-
-/// Resolve the machine selector to a concrete fingerprint filter.
-/// `default_self` is the per-command default when `--machine` is absent.
-fn resolve_machine(sel: &Option<MachineSel>, default_self: bool) -> Option<String> {
-    let sel = sel.clone().unwrap_or(if default_self {
-        MachineSel::SelfMachine
-    } else {
-        MachineSel::Any
-    });
-    match sel {
-        MachineSel::Any => None,
-        MachineSel::SelfMachine => Some(MachineInfo::detect().fingerprint()),
-        MachineSel::Fingerprint(fp) => Some(fp),
-    }
-}
-
-fn filter_from(opts: &Opts, default_self: bool) -> Filter {
-    Filter {
-        source: opts.source.clone(),
-        fingerprint: resolve_machine(&opts.machine, default_self),
-        kernel: opts.kernel.clone(),
-        layout: opts.layout.clone(),
-        threads: opts.threads,
-        problem: opts.problem.clone(),
-    }
-}
-
-/// Select, sort chronologically (stable: append order breaks timestamp
-/// ties) and optionally truncate to the last K records.
-fn select_series<'a>(db: &'a PerfDb, filter: &Filter, last: Option<usize>) -> Vec<&'a RunRecord> {
-    let mut recs = db.select(filter);
-    recs.sort_by_key(|r| r.t_unix_ms);
-    if let Some(k) = last {
-        let skip = recs.len().saturating_sub(k);
-        recs.drain(..skip);
-    }
-    recs
-}
-
-fn policy_from(opts: &Opts) -> RegressionPolicy {
-    RegressionPolicy {
-        window: opts.window,
-        nsigma: opts.nsigma,
-        rel_floor: opts.floor,
-        direction: opts.direction,
-    }
-}
-
-fn cmd_trend(db: &PerfDb, opts: &Opts) -> Gate {
-    let Some(metric) = &opts.metric else {
-        return Gate::Usage(format!("trend needs --metric\n{USAGE}"));
-    };
-    let filter = filter_from(opts, false);
-    let recs = select_series(db, &filter, opts.last);
-    let points: Vec<(&RunRecord, f64)> = recs
-        .iter()
-        .filter_map(|r| r.metric(metric).map(|v| (*r, v)))
-        .collect();
-    if points.is_empty() {
-        return Gate::CheckFailed(format!(
-            "no records matching the filter carry metric {metric:?} \
-             ({} records matched the filter)",
-            recs.len()
-        ));
-    }
-    let values: Vec<f64> = points.iter().map(|(_, v)| *v).collect();
-    let med = analytics::median(&values).unwrap_or(0.0);
-    let dev = analytics::mad(&values).unwrap_or(0.0);
-    let latest = *values.last().unwrap_or(&0.0);
-    let cps = analytics::change_points(&values, &policy_from(opts));
-
-    if opts.json_out {
-        println!("{}", trend_json(metric, &points, med, dev, latest, &cps));
-        return Gate::Ok;
-    }
-
-    println!("## perf trend: {metric}\n");
-    println!("| # | t_unix_ms | machine | config | {metric} |");
-    println!("|---|-----------|---------|--------|----------|");
-    for (i, (r, v)) in points.iter().enumerate() {
-        let shift = cps.iter().find(|c| c.index == i);
-        let mark = match shift {
-            Some(c) if c.z > 0.0 => " ▲",
-            Some(_) => " ▼",
-            None => "",
-        };
-        println!(
-            "| {i} | {} | {} | {} | {v}{mark} |",
-            r.t_unix_ms,
-            r.fingerprint(),
-            config_key(r),
-        );
-    }
-    println!(
-        "\nn={} median={med} mad={dev} latest={latest} change_points={}",
-        points.len(),
-        cps.len()
-    );
-    for c in &cps {
-        println!(
-            "  shift at #{}: {} (baseline {}, z {:+.1})",
-            c.index, c.value, c.baseline, c.z
-        );
-    }
-    Gate::Ok
-}
-
-fn config_key(r: &RunRecord) -> String {
+fn cell_key(r: &RunRecord) -> String {
     let c = &r.config;
-    let mut key = String::new();
-    if !c.kernel.is_empty() || !c.layout.is_empty() {
-        key.push_str(&format!("{}/{}", c.kernel, c.layout));
-    }
-    if c.threads > 0 {
-        key.push_str(&format!("@{}", c.threads));
-    }
-    if !c.problem.is_empty() {
-        if !key.is_empty() {
-            key.push(' ');
-        }
-        key.push_str(&c.problem);
-    }
-    if key.is_empty() {
-        key.push_str(&r.source);
-    }
-    key
+    format!("{}/{}@{}", c.kernel, c.layout, c.threads)
 }
 
-fn trend_json(
-    metric: &str,
-    points: &[(&RunRecord, f64)],
-    median: f64,
-    mad: f64,
-    latest: f64,
-    cps: &[ChangePoint],
-) -> String {
-    use ct_obs::jsonw::{arr, Obj};
-    let pts = arr(points.iter().map(|(r, v)| {
-        let mut o = Obj::new();
-        o.field_u64("t_unix_ms", r.t_unix_ms)
-            .field_str("fingerprint", &r.fingerprint())
-            .field_str("config", &config_key(r))
-            .field_f64("value", *v);
-        o.finish()
-    }));
-    let shifts = arr(cps.iter().map(|c| {
-        let mut o = Obj::new();
-        o.field_u64("index", c.index as u64)
-            .field_f64("value", c.value)
-            .field_f64("baseline", c.baseline)
-            .field_f64("z", c.z);
-        o.finish()
-    }));
-    let mut o = Obj::new();
-    o.field_str("schema", "ifdk-perfdb/trend/v1")
-        .field_str("metric", metric)
-        .field_u64("n", points.len() as u64)
-        .field_f64("median", median)
-        .field_f64("mad", mad)
-        .field_f64("latest", latest)
-        .field_raw("points", &pts)
-        .field_raw("change_points", &shifts);
-    o.finish()
-}
-
-fn cmd_check(db: &PerfDb, opts: &Opts) -> Gate {
-    let Some(metric) = &opts.metric else {
-        return Gate::Usage(format!("check needs --metric\n{USAGE}"));
-    };
-    let filter = filter_from(opts, true);
-    let recs = select_series(db, &filter, None);
-    let values: Vec<f64> = recs.iter().filter_map(|r| r.metric(metric)).collect();
-    if values.len() < opts.min_runs {
-        println!(
-            "perfscope check: only {} run(s) with {metric:?} on this selection \
-             (< --min-runs {}): passing vacuously while the trajectory bootstraps",
-            values.len(),
-            opts.min_runs
+/// Judge the latest `gups` run on `fingerprint`; returns the report
+/// lines and the verdict.
+fn judge(db: &PerfDb, fingerprint: &str) -> (Vec<String>, Gate) {
+    let mut recs: Vec<&RunRecord> = db
+        .records
+        .iter()
+        .filter(|r| r.source == "gups" && r.fingerprint() == fingerprint)
+        .collect();
+    // Stable: append order breaks timestamp ties.
+    recs.sort_by_key(|r| r.t_unix_ms);
+    let Some(t_latest) = recs.last().map(|r| r.t_unix_ms) else {
+        return (
+            Vec::new(),
+            Gate::CheckFailed(format!(
+                "no gups run recorded on this machine (fingerprint {fingerprint}); \
+                 run `gups --record <db>` first"
+            )),
         );
-        return Gate::Ok;
-    }
-    let policy = policy_from(opts);
-    let Some(v) = analytics::check_latest(&values, &policy) else {
-        println!("perfscope check: series too short to judge; passing");
-        return Gate::Ok;
     };
-    print_verdict(metric, &v, &policy);
-    if v.regressed {
-        Gate::CheckFailed(format!(
-            "{metric} regressed: latest {} vs baseline {} over {} run(s) \
-             (bound {}, {:.1} robust sigma)",
-            v.latest, v.baseline, v.n, v.bound, opts.nsigma
-        ))
-    } else {
-        Gate::Ok
-    }
-}
-
-fn print_verdict(metric: &str, v: &Verdict, policy: &RegressionPolicy) {
-    let dir = match policy.direction {
-        Direction::Higher => "higher-is-better",
-        Direction::Lower => "lower-is-better",
-    };
-    println!(
-        "perfscope check: {metric} ({dir}) latest {} vs baseline {} \
-         (window {}, mad {}, scale {}, bound {}) -> {}",
-        v.latest,
-        v.baseline,
-        v.n,
-        v.mad,
-        v.scale,
-        v.bound,
-        if v.regressed { "REGRESSED" } else { "ok" }
-    );
-}
-
-fn cmd_baseline(db: &PerfDb, opts: &Opts) -> Gate {
-    let filter = Filter {
-        // Auto-baselines are always built from gups sweep records.
-        source: Some("gups".to_string()),
-        ..filter_from(opts, true)
-    };
-    let recs = select_series(db, &filter, None);
-    if recs.is_empty() {
-        return Gate::CheckFailed(
-            "no gups records match the filter — run `gups --record <db>` first \
-             (or widen --machine)"
-                .into(),
-        );
-    }
-    // Pin the problem size to the latest record's unless the caller
-    // filtered explicitly: baselining mixed problem sizes would compare
-    // incomparable GUPS.
-    let problem = match &opts.problem {
-        Some(p) => p.clone(),
-        None => recs
-            .last()
-            .map(|r| r.config.problem.clone())
-            .unwrap_or_default(),
-    };
-    let recs: Vec<&RunRecord> = recs
-        .into_iter()
-        .filter(|r| r.config.problem == problem)
+    let latest: Vec<&RunRecord> = recs
+        .iter()
+        .copied()
+        .filter(|r| r.t_unix_ms == t_latest)
         .collect();
 
-    let last_k = opts.last.unwrap_or(5);
-    // Group by cell coordinates, preserving first-seen order so the
-    // emitted report is deterministic.
-    let mut keys: Vec<(String, String, u64)> = Vec::new();
-    for r in &recs {
-        let k = (
-            r.config.kernel.clone(),
-            r.config.layout.clone(),
-            r.config.threads,
-        );
-        if !keys.contains(&k) {
-            keys.push(k);
-        }
-    }
-    let mut cells = Vec::new();
-    let mut updates_all: Vec<f64> = Vec::new();
-    for (kernel, layout, threads) in keys {
-        let group: Vec<&&RunRecord> = recs
+    let policy = RegressionPolicy::default();
+    let mut lines = vec![
+        format!(
+            "perfscope: gups run t_unix_ms {t_latest} on {fingerprint}, problem {}",
+            latest[0].config.problem
+        ),
+        String::new(),
+        "| cell | runs | median | mad | latest | bound | verdict |".to_string(),
+        "|------|------|--------|-----|--------|-------|---------|".to_string(),
+    ];
+    let mut problems: Vec<String> = Vec::new();
+    for cell in &latest {
+        let key = cell_key(cell);
+        let series: Vec<f64> = recs
             .iter()
-            .filter(|r| {
-                r.config.kernel == kernel
-                    && r.config.layout == layout
-                    && r.config.threads == threads
-            })
+            .filter(|r| cell_key(r) == key && r.config.problem == cell.config.problem)
+            .filter_map(|r| r.metric("gups_median"))
             .collect();
-        let tail = &group[group.len().saturating_sub(last_k)..];
-        let col = |name: &str| -> Vec<f64> { tail.iter().filter_map(|r| r.metric(name)).collect() };
-        let gups_median = match analytics::median(&col("gups_median")) {
-            Some(m) => m,
-            None => continue,
+        let Some(value) = cell.metric("gups_median") else {
+            lines.push(format!("| {key} | - | - | - | - | - | NO GUPS |"));
+            problems.push(format!("{key}: latest run carries no gups_median"));
+            continue;
         };
-        updates_all.extend(col("updates"));
-        cells.push(GupsCell {
-            kernel,
-            layout,
-            threads: threads as usize,
-            repeats: analytics::median(&col("repeats")).unwrap_or(0.0) as usize,
-            gups_median,
-            gups_mad: analytics::median(&col("gups_mad")).unwrap_or(0.0),
-            secs_median: analytics::median(&col("secs_median")).unwrap_or(0.0),
-        });
-    }
-    if cells.is_empty() {
-        return Gate::CheckFailed(format!(
-            "matching gups records for problem {problem:?} carry no gups_median metric"
-        ));
-    }
-    let report = GupsReport {
-        problem,
-        updates: analytics::median(&updates_all).unwrap_or(0.0) as u128,
-        machine: recs.last().map(|r| r.machine.clone()),
-        cells,
-    };
-    let json = report.to_json();
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                return Gate::Unreadable(format!("{path}: {e}"));
+        let verdict = if series.len() < MIN_RUNS {
+            None
+        } else {
+            analytics::check_latest(&series, &policy)
+        };
+        match verdict {
+            None => lines.push(format!(
+                "| {key} | {} | - | - | {value:.4} | - | pass (< {MIN_RUNS} runs) |",
+                series.len()
+            )),
+            Some(v) => {
+                lines.push(format!(
+                    "| {key} | {} | {:.4} | {:.4} | {:.4} | {:.4} | {} |",
+                    series.len(),
+                    v.baseline,
+                    v.mad,
+                    v.latest,
+                    v.bound,
+                    if v.regressed { "REGRESSED" } else { "ok" }
+                ));
+                if v.regressed {
+                    problems.push(format!(
+                        "{key} regressed: {:.4} GUPS below bound {:.4} (median {:.4} over {} run(s))",
+                        v.latest, v.bound, v.baseline, v.n
+                    ));
+                }
             }
-            eprintln!(
-                "perfscope baseline: {} cell(s) (median of last {last_k} per cell) -> {path}",
-                report.cells.len()
-            );
         }
-        None => print!("{json}"),
     }
-    Gate::Ok
+
+    let find = |key: &str| {
+        latest
+            .iter()
+            .find(|r| cell_key(r) == key)
+            .and_then(|r| r.metric("gups_median"))
+    };
+    let (cand, base) = ("lanes/transposed@1", "warp/transposed@1");
+    lines.push(String::new());
+    match (find(cand), find(base)) {
+        (Some(c), Some(b)) => {
+            let ok = c >= MIN_SPEEDUP * b;
+            lines.push(format!(
+                "{cand} vs {base}: {c:.4} vs {b:.4} GUPS ({:+.1}%, need {:+.0}%) {}",
+                (c / b - 1.0) * 100.0,
+                (MIN_SPEEDUP - 1.0) * 100.0,
+                if ok { "ok" } else { "TOO SLOW" }
+            ));
+            if !ok {
+                problems.push(format!(
+                    "{cand} is {:.2}x {base}, under the required {MIN_SPEEDUP}x",
+                    c / b
+                ));
+            }
+        }
+        (c, _) => {
+            let missing = if c.is_none() { cand } else { base };
+            lines.push(format!("{cand} vs {base}: {missing} MISSING"));
+            problems.push(format!("latest run has no {missing} cell"));
+        }
+    }
+
+    let gate = if problems.is_empty() {
+        Gate::Ok
+    } else {
+        Gate::CheckFailed(problems.join("; "))
+    };
+    (lines, gate)
 }
 
 fn run(args: &[String]) -> Gate {
-    let opts = match parse_args(args) {
-        Ok(o) => o,
-        Err(g) => return g,
+    let [path] = args else {
+        return Gate::Usage(USAGE.into());
     };
-    if !std::path::Path::new(&opts.db).exists() {
-        return Gate::Unreadable(format!("{}: no such file", opts.db));
+    if path.starts_with('-') {
+        return Gate::Usage(USAGE.into());
     }
-    // The store is the artifact under test: unreadable bytes are I/O
-    // (exit 2), a malformed record is a failed check (exit 1).
-    let text = match ifdk_bench::check::read_input(&opts.db) {
+    let text = match read_input(path) {
         Ok(t) => t,
         Err(g) => return g,
     };
+    // The store is the artifact under test: a malformed record is a
+    // failed check, not an unreadable input.
     let db = match PerfDb::from_jsonl(&text) {
         Ok(db) => db,
-        Err(e) => return Gate::CheckFailed(format!("{}: {e}", opts.db)),
+        Err(e) => return Gate::CheckFailed(format!("{path}: {e}")),
     };
-    match opts.command.as_str() {
-        "trend" => cmd_trend(&db, &opts),
-        "check" => cmd_check(&db, &opts),
-        "baseline" => cmd_baseline(&db, &opts),
-        _ => Gate::Usage(USAGE.into()),
+    let (lines, gate) = judge(&db, &MachineInfo::detect().fingerprint());
+    for l in lines {
+        println!("{l}");
     }
+    gate
 }
 
 fn main() -> ExitCode {
@@ -569,61 +205,45 @@ mod tests {
             problem: "16^3 x 8p".into(),
             ..RunConfig::default()
         };
-        r.set_metric("gups_median", gups)
-            .set_metric("gups_mad", 0.002)
-            .set_metric("secs_median", 0.5)
-            .set_metric("repeats", 3.0)
-            .set_metric("updates", 32768.0);
+        r.set_metric("gups_median", gups);
         r
     }
 
-    fn write_db(name: &str, records: &[RunRecord]) -> String {
-        let path = std::env::temp_dir().join(name);
-        let _ = std::fs::remove_file(&path);
-        PerfDb::append(&path, records).unwrap();
-        path.to_str().unwrap().to_string()
+    /// One sweep at time `t`: a lane cell and a warp cell.
+    fn sweep(t: u64, lanes: f64, warp: f64) -> [RunRecord; 2] {
+        [record(t, "lanes", 1, lanes), record(t, "warp", 1, warp)]
+    }
+
+    fn db(records: impl IntoIterator<Item = RunRecord>) -> PerfDb {
+        PerfDb {
+            records: records.into_iter().collect(),
+        }
+    }
+
+    fn here() -> String {
+        MachineInfo::detect().fingerprint()
     }
 
     #[test]
     fn usage_errors() {
         assert!(matches!(run(&args(&[])), Gate::Usage(_)));
-        assert!(matches!(run(&args(&["db.jsonl"])), Gate::Usage(_)));
-        assert!(matches!(
-            run(&args(&["db.jsonl", "frobnicate"])),
-            Gate::Usage(_)
-        ));
-        assert!(matches!(
-            run(&args(&["db.jsonl", "trend", "--machine", "bogus!"])),
-            Gate::Usage(_)
-        ));
-        assert!(matches!(
-            run(&args(&["db.jsonl", "check", "--direction", "sideways"])),
-            Gate::Usage(_)
-        ));
-        assert!(matches!(
-            run(&args(&["db.jsonl", "trend", "--last", "0"])),
-            Gate::Usage(_)
-        ));
+        assert!(matches!(run(&args(&["--help"])), Gate::Usage(_)));
+        for extra in [
+            &["db.jsonl", "check"][..],
+            &["db.jsonl", "--kernel", "lanes"],
+        ] {
+            assert!(matches!(run(&args(extra)), Gate::Usage(_)), "{extra:?}");
+        }
     }
 
     #[test]
     fn missing_db_is_unreadable_malformed_db_fails_check() {
-        let gate = run(&args(&[
-            "/nonexistent/ifdk-perfscope.jsonl",
-            "trend",
-            "--metric",
-            "gups_median",
-        ]));
+        let gate = run(&args(&["/nonexistent/ifdk-perfscope.jsonl"]));
         assert!(matches!(gate, Gate::Unreadable(_)));
 
         let path = std::env::temp_dir().join("ifdk-perfscope-malformed.jsonl");
         std::fs::write(&path, "{not a record\n").unwrap();
-        let gate = run(&args(&[
-            path.to_str().unwrap(),
-            "trend",
-            "--metric",
-            "gups_median",
-        ]));
+        let gate = run(&args(&[path.to_str().unwrap()]));
         assert!(matches!(gate, Gate::CheckFailed(_)));
         let _ = std::fs::remove_file(&path);
     }
@@ -631,127 +251,101 @@ mod tests {
     #[test]
     fn check_passes_clean_flags_regression_bootstraps_when_short() {
         let mut recs: Vec<RunRecord> = (0..6)
-            .map(|i| record(1000 + i, "lanes", 1, 0.20 + 0.002 * (i % 3) as f64))
+            .flat_map(|i| sweep(1000 + i, 0.20 + 0.002 * (i % 3) as f64, 0.10))
             .collect();
-        let db = write_db("ifdk-perfscope-clean.jsonl", &recs);
-        let ok = run(&args(&[&db, "check", "--metric", "gups_median"]));
-        assert_eq!(ok, Gate::Ok);
+        let (lines, gate) = judge(&db(recs.clone()), &here());
+        assert_eq!(gate, Gate::Ok, "{lines:#?}");
+        // One line per cell, plus the speedup line.
+        assert_eq!(lines.iter().filter(|l| l.ends_with("| ok |")).count(), 2);
 
-        // Inject a collapse as the latest run.
-        recs.push(record(2000, "lanes", 1, 0.09));
-        let db = write_db("ifdk-perfscope-regressed.jsonl", &recs);
-        let bad = run(&args(&[&db, "check", "--metric", "gups_median"]));
-        assert!(matches!(bad, Gate::CheckFailed(_)), "{bad:?}");
+        // Inject a lane collapse as the latest run.
+        recs.extend(sweep(2000, 0.13, 0.10));
+        let (lines, gate) = judge(&db(recs.clone()), &here());
+        match gate {
+            Gate::CheckFailed(msg) => assert!(msg.contains("lanes/transposed@1 regressed")),
+            other => panic!("expected a regression, got {other:?}: {lines:#?}"),
+        }
 
-        // Two runs < --min-runs 3: vacuous pass for bootstrapping.
-        let db = write_db("ifdk-perfscope-short.jsonl", &recs[..2]);
-        let ok = run(&args(&[&db, "check", "--metric", "gups_median"]));
-        assert_eq!(ok, Gate::Ok);
+        // Two runs < MIN_RUNS: the collapse cannot be judged yet.
+        let short: Vec<RunRecord> = sweep(1000, 0.20, 0.10)
+            .into_iter()
+            .chain(sweep(2000, 0.13, 0.10))
+            .collect();
+        assert_eq!(judge(&db(short), &here()).1, Gate::Ok);
     }
 
     #[test]
     fn check_filters_out_other_kernels() {
-        // The warp series collapses; the lanes series (the one under
-        // check) is steady — the filter must keep them apart.
-        let mut recs: Vec<RunRecord> = (0..5).map(|i| record(1000 + i, "lanes", 1, 0.20)).collect();
-        recs.extend((0..5).map(|i| record(1000 + i, "warp", 1, if i == 4 { 0.01 } else { 0.15 })));
-        let db = write_db("ifdk-perfscope-filtered.jsonl", &recs);
-        let ok = run(&args(&[
-            &db,
-            "check",
-            "--metric",
-            "gups_median",
-            "--kernel",
-            "lanes",
-        ]));
-        assert_eq!(ok, Gate::Ok);
-        let bad = run(&args(&[
-            &db,
-            "check",
-            "--metric",
-            "gups_median",
-            "--kernel",
-            "warp",
-        ]));
-        assert!(matches!(bad, Gate::CheckFailed(_)));
+        // Each cell is judged against its own history only. Pooled with
+        // the steady warp cell, the lane drop to 0.15 would sit at the
+        // pooled median and pass.
+        let mut recs: Vec<RunRecord> = (0..5).flat_map(|i| sweep(1000 + i, 0.20, 0.10)).collect();
+        recs.extend(sweep(2000, 0.15, 0.10));
+        let (_, gate) = judge(&db(recs), &here());
+        assert!(
+            matches!(gate, Gate::CheckFailed(ref m) if m.contains("lanes")),
+            "{gate:?}"
+        );
+    }
+
+    #[test]
+    fn other_machines_never_enter_the_window() {
+        let other = MachineInfo {
+            cpu_model: "Some Other Box".into(),
+            ..MachineInfo::default()
+        };
+        let mut recs: Vec<RunRecord> = (0..5).flat_map(|i| sweep(1000 + i, 0.20, 0.10)).collect();
+        // A fast box's history, and a later run of its own, interleaved.
+        for t in [1001, 1003, 3000] {
+            for mut r in sweep(t, 0.90, 0.40) {
+                r.machine = other.clone();
+                recs.push(r);
+            }
+        }
+        let (lines, gate) = judge(&db(recs), &here());
+        assert_eq!(gate, Gate::Ok, "{lines:#?}");
+        assert!(lines[0].contains("t_unix_ms 1004"), "{}", lines[0]);
+    }
+
+    #[test]
+    fn improvement_gate_passes_and_fails() {
+        // 1.3x passes the 1.25x requirement on a fresh trajectory...
+        assert_eq!(judge(&db(sweep(1, 0.13, 0.10)), &here()).1, Gate::Ok);
+        // ...1.2x does not...
+        let (_, gate) = judge(&db(sweep(1, 0.12, 0.10)), &here());
+        assert!(
+            matches!(gate, Gate::CheckFailed(ref m) if m.contains("1.25")),
+            "{gate:?}"
+        );
+        // ...and a run missing either cell fails rather than passing.
+        for kernel in ["lanes", "warp"] {
+            let only = [record(1, kernel, 1, 0.2), record(1, kernel, 4, 0.6)];
+            let (_, gate) = judge(&db(only), &here());
+            assert!(
+                matches!(gate, Gate::CheckFailed(ref m) if m.contains("no ")),
+                "{gate:?}"
+            );
+        }
     }
 
     #[test]
     fn trend_reports_and_fails_on_empty_selection() {
-        let recs: Vec<RunRecord> = (0..4)
-            .map(|i| record(1000 + i, "lanes", 1, 0.2 + i as f64 * 0.001))
-            .collect();
-        let db = write_db("ifdk-perfscope-trend.jsonl", &recs);
-        let ok = run(&args(&[
-            &db,
-            "trend",
-            "--metric",
-            "gups_median",
-            "--format",
-            "json",
-        ]));
-        assert_eq!(ok, Gate::Ok);
-        let none = run(&args(&[&db, "trend", "--metric", "no_such_metric"]));
-        assert!(matches!(none, Gate::CheckFailed(_)));
-    }
-
-    #[test]
-    fn trend_json_shape() {
-        let recs: Vec<(&RunRecord, f64)> = vec![];
-        // Shape check goes through the real path: build a series and
-        // parse the writer's output.
-        drop(recs);
-        let r1 = record(1, "lanes", 1, 0.2);
-        let r2 = record(2, "lanes", 1, 0.21);
-        let pts = vec![(&r1, 0.2), (&r2, 0.21)];
-        let j = trend_json("gups_median", &pts, 0.205, 0.005, 0.21, &[]);
-        let v = ct_obs::chrome::json::parse(&j).unwrap();
-        assert_eq!(
-            v.get("schema").and_then(|x| x.as_str()),
-            Some("ifdk-perfdb/trend/v1")
-        );
-        assert_eq!(v.get("n").and_then(|x| x.as_f64()), Some(2.0));
-        assert_eq!(
-            v.get("points").and_then(|x| x.as_array()).map(|a| a.len()),
-            Some(2)
-        );
-    }
-
-    #[test]
-    fn baseline_emits_a_gups_report_benchdiff_can_parse() {
-        let mut recs: Vec<RunRecord> = Vec::new();
-        for t in 0..7u64 {
-            // Early noisy era, then a steady level the median should pick.
-            let g = if t < 2 { 0.10 } else { 0.20 };
-            recs.push(record(1000 + t, "lanes", 1, g));
-            recs.push(record(1000 + t, "warp", 1, 0.15));
-        }
-        let db = write_db("ifdk-perfscope-baseline.jsonl", &recs);
-        let out = std::env::temp_dir().join("ifdk-perfscope-baseline-out.json");
-        let _ = std::fs::remove_file(&out);
-        let gate = run(&args(&[
-            &db,
-            "baseline",
-            "--out",
-            out.to_str().unwrap(),
-            "--last",
-            "5",
-        ]));
+        // A header, the table head, one line per cell, the speedup line.
+        let (lines, gate) = judge(&db(sweep(1, 0.2, 0.1)), &here());
         assert_eq!(gate, Gate::Ok);
-        let report = GupsReport::from_json(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        assert_eq!(report.problem, "16^3 x 8p");
-        assert_eq!(report.cells.len(), 2);
-        let lanes = report.find("lanes", "transposed", 1).unwrap();
-        // Median of the last 5 (0.20 x5): the noisy bootstrap era aged out.
-        assert_eq!(lanes.gups_median, 0.20);
-        assert!(report.machine.is_some());
-        let _ = std::fs::remove_file(&out);
+        assert!(lines
+            .iter()
+            .any(|l| l.starts_with("| warp/transposed@1 | 1 |")));
+        assert!(lines.last().unwrap().contains("+100.0%"), "{lines:#?}");
+        // Records exist, but none from this machine: nothing to judge.
+        let (lines, gate) = judge(&db(sweep(1, 0.2, 0.1)), "0000000000000000");
+        assert!(lines.is_empty());
+        assert!(matches!(gate, Gate::CheckFailed(ref m) if m.contains("no gups run")));
     }
 
     #[test]
     fn baseline_with_no_records_fails_check() {
-        let db = write_db("ifdk-perfscope-empty.jsonl", &[]);
-        let gate = run(&args(&[&db, "baseline"]));
+        let (_, gate) = judge(&PerfDb::default(), &here());
         assert!(matches!(gate, Gate::CheckFailed(_)));
     }
 }

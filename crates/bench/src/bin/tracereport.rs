@@ -1,18 +1,24 @@
-//! Critical-path & overlap report over a Chrome trace-event capture.
+//! Validate a Chrome trace-event capture and report its critical path
+//! and overlap.
 //!
 //! ```text
 //! cargo run --release -p ifdk-bench --bin tracereport -- trace.json \
+//!     [--threads filter,main,backprojection] [--spans load,allgather] \
 //!     [--min-overlap 0.5] [--max-stall-ms <ms>] [--max-trips <n>] \
-//!     [--format text|json] [--record trajectory.jsonl]
+//!     [--format text|json]
 //! ```
 //!
-//! Re-imports the trace with `ct_obs::chrome::parse_trace`, runs
+//! First checks the trace-event invariants with `ct_obs::chrome::validate`
+//! (every `X` event carries `ph`/`ts`/`dur`/`pid`/`tid`/`name`), then
+//! re-imports the trace with `ct_obs::chrome::parse_trace`, runs
 //! `ct_obs::analysis::PipelineAnalysis` over it and prints the report:
 //! the critical path through the producer→consumer dependency graph,
 //! per-lane busy/stall/idle utilization, ring-stall attribution and the
 //! Eq.-19 overlap-efficiency figure (`max_stage / wall`). The report
 //! doubles as a CI gate:
 //!
+//! * `--threads a,b` / `--spans x,y` fail when a named thread lane or
+//!   span name is absent from the capture;
 //! * `--min-overlap <frac>` fails when overlap efficiency is below it;
 //! * `--max-stall-ms <ms>` fails when any single ring wait (the longest
 //!   `*.push_wait` / `*.pop_wait` span of the analysis' stall table)
@@ -22,69 +28,60 @@
 //!   ring side that stayed blocked past its deadline).
 //!
 //! `--format json` emits the analysis as machine-readable JSON instead
-//! of the text report, for dashboards and diffing. `--record <path>`
-//! appends an `ifdk-run/v1` record (overlap efficiency, wall/critical-path
-//! seconds) to the `ct-perfdb` trajectory store so `perfscope` can
-//! trend overlap across runs. Exit codes follow `ifdk_bench::check`:
-//! 0 ok, 1 gate failed (or unanalyzable trace), 2 unreadable file,
+//! of the text report. Exit codes follow `ifdk_bench::check`: 0 ok,
+//! 1 gate failed (or invalid / unanalyzable trace), 2 unreadable file,
 //! 3 usage.
 
 use ifdk_bench::check::{read_input, Gate};
 use std::process::ExitCode;
 
 fn run(args: &[String]) -> Gate {
-    let usage = "usage: tracereport <trace.json> [--min-overlap <0..=1>] \
-                 [--max-stall-ms <ms>] [--max-trips <n>] \
-                 [--format text|json] [--record <trajectory.jsonl>]";
+    let usage = "usage: tracereport <trace.json> [--threads <a,b>] [--spans <x,y>] \
+                 [--min-overlap <0..=1>] [--max-stall-ms <ms>] [--max-trips <n>] \
+                 [--format text|json]";
     let mut path: Option<&str> = None;
+    let mut threads: Vec<&str> = Vec::new();
+    let mut spans: Vec<&str> = Vec::new();
     let mut min_overlap: Option<f64> = None;
     let mut max_stall_ms: Option<u64> = None;
     let mut max_trips: Option<u64> = None;
     let mut json_out = false;
-    let mut record: Option<&str> = None;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--record" => {
-                let Some(v) = args.get(i + 1) else {
-                    return Gate::Usage(format!("--record needs a path\n{usage}"));
-                };
-                record = Some(v);
-                i += 2;
+        let flag = args[i].as_str();
+        if !flag.starts_with("--") {
+            if path.is_some() {
+                return Gate::Usage(usage.into());
             }
-            "--format" => {
-                let Some(v) = args.get(i + 1) else {
-                    return Gate::Usage(format!("--format needs a value\n{usage}"));
-                };
-                match v.as_str() {
-                    "text" => json_out = false,
-                    "json" => json_out = true,
-                    other => {
-                        return Gate::Usage(format!(
-                            "--format must be text or json, got {other:?}\n{usage}"
-                        ))
-                    }
+            path = Some(flag);
+            i += 1;
+            continue;
+        }
+        let Some(v) = args.get(i + 1) else {
+            return Gate::Usage(format!("{flag} needs a value\n{usage}"));
+        };
+        let csv = || v.split(',').map(str::trim).filter(|s| !s.is_empty());
+        match flag {
+            "--threads" => threads.extend(csv()),
+            "--spans" => spans.extend(csv()),
+            "--format" => match v.as_str() {
+                "text" => json_out = false,
+                "json" => json_out = true,
+                other => {
+                    return Gate::Usage(format!(
+                        "--format must be text or json, got {other:?}\n{usage}"
+                    ))
                 }
-                i += 2;
-            }
-            "--min-overlap" => {
-                let Some(v) = args.get(i + 1) else {
-                    return Gate::Usage(format!("--min-overlap needs a value\n{usage}"));
-                };
-                match v.parse::<f64>() {
-                    Ok(f) if (0.0..=1.0).contains(&f) => min_overlap = Some(f),
-                    _ => {
-                        return Gate::Usage(format!(
-                            "--min-overlap must be a fraction in 0..=1, got {v:?}\n{usage}"
-                        ))
-                    }
+            },
+            "--min-overlap" => match v.parse::<f64>() {
+                Ok(f) if (0.0..=1.0).contains(&f) => min_overlap = Some(f),
+                _ => {
+                    return Gate::Usage(format!(
+                        "--min-overlap must be a fraction in 0..=1, got {v:?}\n{usage}"
+                    ))
                 }
-                i += 2;
-            }
-            flag @ ("--max-stall-ms" | "--max-trips") => {
-                let Some(v) = args.get(i + 1) else {
-                    return Gate::Usage(format!("{flag} needs a value\n{usage}"));
-                };
+            },
+            "--max-stall-ms" | "--max-trips" => {
                 let Ok(n) = v.parse::<u64>() else {
                     return Gate::Usage(format!(
                         "{flag} must be a non-negative integer, got {v:?}\n{usage}"
@@ -95,19 +92,10 @@ fn run(args: &[String]) -> Gate {
                 } else {
                     max_stall_ms = Some(n);
                 }
-                i += 2;
             }
-            a if a.starts_with("--") => {
-                return Gate::Usage(format!("unknown flag {a:?}\n{usage}"));
-            }
-            a => {
-                if path.is_some() {
-                    return Gate::Usage(usage.into());
-                }
-                path = Some(a);
-                i += 1;
-            }
+            _ => return Gate::Usage(format!("unknown flag {flag:?}\n{usage}")),
         }
+        i += 2;
     }
     let Some(path) = path else {
         return Gate::Usage(usage.into());
@@ -119,9 +107,14 @@ fn run(args: &[String]) -> Gate {
     };
     // The JSON is the artifact under test: a malformed trace is a failed
     // check, not an unreadable input.
+    let invalid = |e: String| Gate::CheckFailed(format!("{path} is not a valid trace: {e}"));
+    let check = match ct_obs::chrome::validate(&json) {
+        Ok(c) => c,
+        Err(e) => return invalid(e),
+    };
     let trace = match ct_obs::chrome::parse_trace(&json) {
         Ok(t) => t,
-        Err(e) => return Gate::CheckFailed(format!("{path} is not a valid trace: {e}")),
+        Err(e) => return invalid(e),
     };
     let Some(analysis) = ct_obs::PipelineAnalysis::from_trace(&trace) else {
         return Gate::CheckFailed(format!(
@@ -133,30 +126,32 @@ fn run(args: &[String]) -> Gate {
     if json_out {
         println!("{}", analysis.to_json());
     } else {
-        println!("{path}:");
+        println!(
+            "{path}: {} span events, {} ranks, thread lanes [{}], {} span names",
+            check.span_events,
+            check.ranks.len(),
+            check.thread_names.join(", "),
+            check.span_names.len()
+        );
         print!("{}", analysis.report());
     }
 
-    if let Some(db) = record {
-        let mut r = ct_perfdb::RunRecord::new(
-            "tracereport",
-            ct_obs::clock::unix_millis(),
-            ct_perfdb::MachineInfo::detect(),
-        );
-        r.set_metric("overlap_efficiency", analysis.overlap_efficiency)
-            .set_metric("wall_secs", analysis.wall_ns as f64 * 1e-9)
-            .set_metric("max_stage_secs", analysis.max_stage_ns as f64 * 1e-9)
-            .set_metric(
-                "critical_path_secs",
-                analysis.critical_path_ns as f64 * 1e-9,
-            )
-            .set_metric("lanes", analysis.lanes.len() as f64);
-        if let Err(e) = ct_perfdb::PerfDb::append(std::path::Path::new(db), &[r]) {
-            return Gate::Unreadable(format!("{db}: {e}"));
-        }
-        eprintln!("recorded overlap run -> {db}");
+    let mut missing: Vec<String> = Vec::new();
+    missing.extend(
+        threads
+            .iter()
+            .filter(|t| !check.has_thread(t))
+            .map(|t| format!("thread lane {t:?}")),
+    );
+    missing.extend(
+        spans
+            .iter()
+            .filter(|s| !check.has_span(s))
+            .map(|s| format!("span {s:?}")),
+    );
+    if !missing.is_empty() {
+        return Gate::CheckFailed(format!("{path} is missing required {}", missing.join(", ")));
     }
-
     if let Some(min) = min_overlap {
         if !analysis.meets_overlap(min) {
             return Gate::CheckFailed(format!(
@@ -322,25 +317,20 @@ mod tests {
     }
 
     #[test]
-    fn record_sink_appends_an_overlap_record() {
-        let path = trace_file("ifdk-tracereport-record.json");
-        let db = std::env::temp_dir().join("ifdk-tracereport-record.jsonl");
-        let _ = std::fs::remove_file(&db);
-        let gate = run(&[
-            path.clone(),
-            "--record".into(),
-            db.to_str().unwrap().to_string(),
-        ]);
-        assert_eq!(gate, Gate::Ok);
-        let store = ct_perfdb::PerfDb::load(&db).unwrap();
-        assert_eq!(store.records.len(), 1);
-        let r = &store.records[0];
-        assert_eq!(r.source, "tracereport");
-        let eff = r.metric("overlap_efficiency").unwrap();
-        assert!((0.0..=1.0).contains(&eff), "{eff}");
-        assert!(r.metric("wall_secs").unwrap() > 0.0);
+    fn required_threads_and_spans_gate_the_trace() {
+        let path = trace_file("ifdk-tracereport-required.json");
+        let ok = ["--threads", "filter", "--spans", "filter"];
+        assert_eq!(run(&args(&path, &ok)), Gate::Ok);
+        for flags in [
+            &["--spans", "filter,allgather"][..],
+            &["--threads", "filter,backprojection"],
+        ] {
+            match run(&args(&path, flags)) {
+                Gate::CheckFailed(msg) => assert!(msg.contains("missing required"), "{msg}"),
+                other => panic!("{flags:?}: expected CheckFailed, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&db);
     }
 
     #[test]

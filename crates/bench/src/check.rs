@@ -1,8 +1,8 @@
-//! Shared exit-code contract for the CI gate binaries (`tracecheck`,
-//! `tracereport`, `benchdiff`).
+//! Shared exit-code contract for the CI gate binaries (`tracereport`,
+//! `perfscope`).
 //!
 //! CI needs to tell "the artifact under test failed its check" apart from
-//! "the gate itself could not run" — a missing baseline file must not
+//! "the gate itself could not run" — a missing trajectory file must not
 //! masquerade as a performance regression (or vice versa), so each class
 //! gets its own code:
 //!

@@ -225,7 +225,7 @@ impl TraceCheck {
 /// the trace contains, or a description of the first violation.
 ///
 /// This uses the crate's own minimal JSON parser, so CI smoke tests and
-/// the `tracecheck` tool can validate captures without further
+/// the `tracereport` tool can validate captures without further
 /// dependencies.
 pub fn validate(json: &str) -> Result<TraceCheck, String> {
     let doc = json::parse(json)?;

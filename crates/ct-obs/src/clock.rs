@@ -28,10 +28,9 @@ pub fn now() -> Instant {
 /// The perf trajectory store (`ct-perfdb`) timestamps run records with
 /// wall time so cross-run trends line up across machines and restarts —
 /// a monotonic instant is meaningless outside its own process. This is
-/// the one sanctioned `SystemTime` read; producers (`gups --record`,
-/// `tracereport --record`, the distributed example) take the value from
-/// here instead of touching `SystemTime` themselves, keeping the
-/// `raw-clock` lint's single-time-source guarantee intact.
+/// the one sanctioned `SystemTime` read; the producer (`gups --record`)
+/// takes the value from here instead of touching `SystemTime` itself,
+/// keeping the `raw-clock` lint's single-time-source guarantee intact.
 #[must_use]
 pub fn unix_millis() -> u64 {
     std::time::SystemTime::now()

@@ -5,7 +5,7 @@
 //! and this module is the one serializer — and [`escape_into`] the one
 //! string escaper — behind every machine-readable artifact: the Chrome
 //! trace, the analysis export, `ct-perfdb` run
-//! records, the `gups`/`benchdiff` reports, experiment `RunReport`s and
+//! records, the `gups` reports, experiment `RunReport`s and
 //! `cargo xtask analyze --format json`.
 //!
 //! The builders emit compact one-line JSON with deterministic field

@@ -74,29 +74,13 @@ impl StageCell {
     }
 }
 
-/// One ring buffer's live state, as read by a [`RingProbe`]. Plain data:
-/// `ct-obs` defines the shape, `ct_sync::ring::RingBuffer::live_state`
+/// One ring buffer's in-flight waits, as read by a [`RingProbe`]:
+/// what the stall watchdog needs to see a wait *while it is happening*.
+/// Completed-stall totals live in `ct_sync::ring::RingMetrics`. Plain
+/// data: `ct-obs` defines the shape, `ct_sync::ring::RingBuffer::live_state`
 /// fills it (the layering runs strictly upward).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RingLiveState {
-    /// Ring capacity, slots.
-    pub capacity: usize,
-    /// Current occupancy, slots.
-    pub len: usize,
-    /// High-water occupancy since creation.
-    pub high_water: usize,
-    /// Completed producer stalls (blocked pushes).
-    pub push_stalls: u64,
-    /// Completed consumer stalls (blocked pops).
-    pub pop_stalls: u64,
-    /// Summed completed push-stall time, nanoseconds.
-    pub push_stall_ns: u64,
-    /// Summed completed pop-stall time, nanoseconds.
-    pub pop_stall_ns: u64,
-    /// Longest single completed push stall, nanoseconds.
-    pub max_push_stall_ns: u64,
-    /// Longest single completed pop stall, nanoseconds.
-    pub max_pop_stall_ns: u64,
     /// How long the currently blocked producer (if any) has been
     /// waiting, nanoseconds. 0 when no producer is blocked.
     pub cur_push_wait_ns: u64,
@@ -112,15 +96,6 @@ impl RingLiveState {
             StallKind::Push => self.cur_push_wait_ns,
             StallKind::Pop => self.cur_pop_wait_ns,
         }
-    }
-
-    /// The worst wait this ring has seen or is seeing: the max over
-    /// completed stall maxima and the current in-flight waits.
-    pub fn worst_wait_ns(&self) -> u64 {
-        self.max_push_stall_ns
-            .max(self.max_pop_stall_ns)
-            .max(self.cur_push_wait_ns)
-            .max(self.cur_pop_wait_ns)
     }
 }
 

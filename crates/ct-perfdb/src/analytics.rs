@@ -1,5 +1,5 @@
-//! Robust trajectory analytics: median/MAD statistics, latest-run
-//! regression verdicts and change-point scans.
+//! Robust trajectory analytics: median/MAD statistics and the
+//! latest-run regression verdict.
 //!
 //! Perf series are heavy-tailed — one noisy-neighbour run should not
 //! move the baseline — so everything here is built on the median and
@@ -38,31 +38,8 @@ pub fn mad(values: &[f64]) -> Option<f64> {
     median(&dev)
 }
 
-/// Which direction of change is *bad* for a metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Higher is better (throughput: GUPS, overlap efficiency). A drop
-    /// is a regression.
-    Higher,
-    /// Lower is better (latency: stage p95, stall seconds). A rise is
-    /// a regression.
-    Lower,
-}
-
-impl Direction {
-    /// Parse a CLI spelling (`higher` / `lower`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "higher" => Ok(Self::Higher),
-            "lower" => Ok(Self::Lower),
-            other => Err(format!(
-                "unknown direction {other:?} (expected \"higher\" or \"lower\")"
-            )),
-        }
-    }
-}
-
-/// Tuning for regression / change-point detection.
+/// Tuning for the latest-run regression check. The judged metric is
+/// higher-is-better (GUPS): only a drop below the bound regresses.
 #[derive(Debug, Clone, Copy)]
 pub struct RegressionPolicy {
     /// How many preceding runs form the baseline window.
@@ -74,8 +51,6 @@ pub struct RegressionPolicy {
     /// `rel_floor * |median|`, so a window of identical measurements
     /// (MAD = 0) does not flag sub-noise jitter.
     pub rel_floor: f64,
-    /// Which direction of change is bad.
-    pub direction: Direction,
 }
 
 impl Default for RegressionPolicy {
@@ -84,7 +59,6 @@ impl Default for RegressionPolicy {
             window: 8,
             nsigma: 4.0,
             rel_floor: 0.05,
-            direction: Direction::Higher,
         }
     }
 }
@@ -113,10 +87,9 @@ pub struct Verdict {
     /// The judged (latest) value.
     pub latest: f64,
     /// The acceptance bound the latest value was compared against:
-    /// `baseline - nsigma*scale` for [`Direction::Higher`],
-    /// `baseline + nsigma*scale` for [`Direction::Lower`].
+    /// `baseline - nsigma*scale`.
     pub bound: f64,
-    /// Did the latest value cross the bound on the bad side?
+    /// Did the latest value fall below the bound?
     pub regressed: bool,
 }
 
@@ -133,16 +106,7 @@ pub fn check_latest(values: &[f64], policy: &RegressionPolicy) -> Option<Verdict
     let baseline = median(window)?;
     let window_mad = mad(window)?;
     let scale = policy.scale(baseline, window_mad);
-    let (bound, regressed) = match policy.direction {
-        Direction::Higher => {
-            let b = baseline - policy.nsigma * scale;
-            (b, latest < b)
-        }
-        Direction::Lower => {
-            let b = baseline + policy.nsigma * scale;
-            (b, latest > b)
-        }
-    };
+    let bound = baseline - policy.nsigma * scale;
     Some(Verdict {
         n: window.len(),
         baseline,
@@ -150,52 +114,8 @@ pub fn check_latest(values: &[f64], policy: &RegressionPolicy) -> Option<Verdict
         scale,
         latest,
         bound,
-        regressed,
+        regressed: latest < bound,
     })
-}
-
-/// A point in the series that departed from its trailing window.
-#[derive(Debug, Clone, Copy)]
-pub struct ChangePoint {
-    /// Index into the input series.
-    pub index: usize,
-    /// The departing value.
-    pub value: f64,
-    /// Median of the trailing window it departed from.
-    pub baseline: f64,
-    /// Robust z-score (signed: negative means below baseline).
-    pub z: f64,
-}
-
-/// Scan the whole series for values more than `policy.nsigma` scale
-/// units from the median of their trailing window (two-sided — a trend
-/// report wants to see improvements shift the level too, not just
-/// regressions). Each value needs at least two predecessors in-window
-/// to be judged.
-pub fn change_points(values: &[f64], policy: &RegressionPolicy) -> Vec<ChangePoint> {
-    let mut out = Vec::new();
-    for i in 2..values.len() {
-        let start = i.saturating_sub(policy.window);
-        let window = &values[start..i];
-        let (baseline, window_mad) = match (median(window), mad(window)) {
-            (Some(m), Some(d)) => (m, d),
-            _ => continue,
-        };
-        let scale = policy.scale(baseline, window_mad);
-        if scale <= 0.0 {
-            continue;
-        }
-        let z = (values[i] - baseline) / scale;
-        if z.abs() >= policy.nsigma {
-            out.push(ChangePoint {
-                index: i,
-                value: values[i],
-                baseline,
-                z,
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -238,18 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn lower_is_better_flags_rises() {
-        let policy = RegressionPolicy {
-            direction: Direction::Lower,
-            ..RegressionPolicy::default()
-        };
-        let steady = [1.0, 1.05, 0.98, 1.02, 1.01];
-        assert!(!check_latest(&steady, &policy).expect("verdict").regressed);
-        let spike = [1.0, 1.05, 0.98, 1.02, 2.5];
-        assert!(check_latest(&spike, &policy).expect("verdict").regressed);
-    }
-
-    #[test]
     fn zero_mad_window_uses_relative_floor() {
         // Identical history: MAD = 0. A 1% wobble sits inside the 5%
         // relative floor; a 40% collapse does not.
@@ -280,17 +188,5 @@ mod tests {
     fn too_short_series_is_none() {
         assert!(check_latest(&[], &RegressionPolicy::default()).is_none());
         assert!(check_latest(&[0.2], &RegressionPolicy::default()).is_none());
-    }
-
-    #[test]
-    fn change_points_find_the_step() {
-        let vals = [0.20, 0.205, 0.198, 0.202, 0.31, 0.305, 0.31, 0.308];
-        let cps = change_points(&vals, &RegressionPolicy::default());
-        assert!(
-            cps.iter().any(|c| c.index == 4 && c.z > 0.0),
-            "step up at index 4 must appear: {cps:?}"
-        );
-        let flat = [0.20, 0.205, 0.198, 0.202, 0.201, 0.199];
-        assert!(change_points(&flat, &RegressionPolicy::default()).is_empty());
     }
 }

@@ -1,30 +1,24 @@
 //! # ct-perfdb — the cross-run performance trajectory store
 //!
-//! Everything else in the workspace measures a *single* run: `gups`
-//! sweeps the kernel, `tracereport` scores pipeline overlap (Eqs. 8-19)
-//! and gates ring stalls and watchdog trips. This crate is the memory those
-//! measurements were missing: a versioned run-record schema
+//! Everything else in the workspace measures a *single* run. This crate
+//! is the memory across runs: a versioned run-record schema
 //! ([`RunRecord`], `ifdk-run/v1`) capturing machine provenance
-//! ([`MachineInfo`] with a stable [`MachineInfo::fingerprint`]), run
-//! configuration ([`RunConfig`]: kernel, threads, grid R×C, tile shape,
-//! problem size) and outcome metrics (named `f64`s: GUPS median+MAD,
-//! overlap efficiency, critical-path seconds, watchdog trips), appended to an
-//! append-only JSONL store ([`PerfDb`]) keyed by machine fingerprint.
+//! ([`MachineInfo`] with a stable [`MachineInfo::fingerprint`] over the
+//! CPU and the build's target features), run configuration
+//! ([`RunConfig`]: kernel, layout, threads, problem size) and outcome
+//! metrics (named `f64`s), appended to an append-only JSONL store
+//! ([`PerfDb`]) keyed by machine fingerprint.
 //!
-//! On top of the store sit the analytics the ROADMAP's self-tuning item
-//! needs ([`analytics`]): robust [`analytics::median`]/[`analytics::mad`]
-//! statistics, MAD-based change-point and latest-run regression
-//! detection over a configurable window, and median-of-last-K
-//! auto-baseline selection so perf gates can follow the trajectory
-//! instead of a hand-regenerated pinned file. The `perfscope` bench bin
-//! is the query front-end; `gups`, `tracereport` and the distributed
-//! example are the producers (`--record <path>`).
+//! The trajectory is the one perf baseline. `gups --record <path>` is
+//! its one producer and `perfscope <path>` its one reader: it judges
+//! each cell of the latest sweep against the same cell's earlier runs
+//! on this machine with [`analytics::check_latest`] under
+//! [`RegressionPolicy::default`] (robust [`analytics::median`] /
+//! [`analytics::mad`] statistics over a fixed window).
 //!
 //! Records serialize through [`ct_obs::jsonw`] and parse through
 //! `ct_obs::chrome::json` — the one JSON codec of the whole workspace,
-//! which has no serialization dependency anywhere — so the store works
-//! in the zero-registry-dependency substrate, and `xtask` appends its
-//! own records through this crate.
+//! which has no serialization dependency anywhere.
 //!
 //! ```
 //! use ct_perfdb::{MachineInfo, RunConfig, RunRecord};
@@ -49,7 +43,7 @@ pub mod machine;
 pub mod record;
 pub mod store;
 
-pub use analytics::{ChangePoint, Direction, RegressionPolicy, Verdict};
+pub use analytics::{RegressionPolicy, Verdict};
 pub use machine::MachineInfo;
 pub use record::{RunConfig, RunRecord, SCHEMA};
 pub use store::{Filter, PerfDb};

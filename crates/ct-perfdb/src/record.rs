@@ -216,6 +216,7 @@ mod tests {
                 cpu_model: "Example CPU @ 3.00GHz".into(),
                 cpu_flags: vec!["avx2".into(), "fma".into()],
                 logical_cpus: 8,
+                target_features: vec!["sse2".into()],
             },
         );
         r.config = RunConfig {

@@ -38,7 +38,7 @@ impl PerfDb {
 
     /// Load a store from disk. A missing file is an error here; callers
     /// that want "empty until first append" semantics check existence
-    /// first (the `perfscope` bin maps this to its *unreadable* exit).
+    /// first.
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::from_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))
@@ -71,11 +71,10 @@ impl PerfDb {
     }
 }
 
-/// A conjunctive record filter: every set field must match. The
-/// `perfscope` CLI flags map onto this one-to-one.
+/// A conjunctive record filter: every set field must match.
 #[derive(Debug, Clone, Default)]
 pub struct Filter {
-    /// Producing tool (`gups`, `tracereport`, `distributed`).
+    /// Producing tool (`gups`).
     pub source: Option<String>,
     /// Machine fingerprint (16 hex chars, [`crate::MachineInfo::fingerprint`]).
     pub fingerprint: Option<String>,
@@ -139,6 +138,7 @@ mod tests {
                 cpu_model: "Test CPU".into(),
                 cpu_flags: vec!["avx2".into()],
                 logical_cpus: 4,
+                target_features: vec!["sse2".into()],
             },
         );
         r.config.kernel = kernel.to_string();

@@ -21,9 +21,7 @@
 //!   `--roots a,b` overrides the roots for ad-hoc queries, `--dir
 //!   <path>` analyzes another tree (used by CI to assert the
 //!   negative-control fixtures still fail), `--format json` emits the
-//!   `ifdk-analyze/v3` findings document for CI artifacts, and
-//!   `--record <path>` appends per-pass wall time to an `ifdk-run/v1`
-//!   JSONL trajectory.
+//!   `ifdk-analyze/v3` findings document for CI artifacts.
 //!
 //! Float rules live outside the analyzer: the root `clippy.toml` bans
 //! `f32::mul_add` / `f64::mul_add` workspace-wide, and the bitwise
@@ -41,7 +39,6 @@ mod jsonout;
 mod lexer;
 mod parser;
 mod passes;
-mod recorder;
 mod rules;
 mod workspace;
 
@@ -50,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo xtask <lint | analyze [--roots <qual,..>] [--dir <path>] \
-     [--format <text|json>] [--record <path>]>";
+     [--format <text|json>]>";
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -66,12 +63,6 @@ fn main() -> ExitCode {
             Ok(opts) => {
                 let root = opts.dir.unwrap_or_else(repo_root);
                 let result = analyze(&root, opts.roots.as_deref());
-                if let (Ok(rep), Some(path)) = (&result, &opts.record) {
-                    if let Err(e) = recorder::append(path, &rep.passes) {
-                        eprintln!("xtask analyze: --record: {e}");
-                        return ExitCode::from(3);
-                    }
-                }
                 match opts.format {
                     Format::Text => report("analyze", result.map(|r| r.violations)),
                     Format::Json => report_json("analyze", result),
@@ -135,7 +126,6 @@ struct AnalyzeArgs {
     dir: Option<PathBuf>,
     roots: Option<Vec<String>>,
     format: Format,
-    record: Option<PathBuf>,
 }
 
 fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, String> {
@@ -143,7 +133,6 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, String> {
         dir: None,
         roots: None,
         format: Format::Text,
-        record: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -154,9 +143,6 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, String> {
             }
             "--dir" => {
                 opts.dir = Some(PathBuf::from(it.next().ok_or("--dir needs a value")?));
-            }
-            "--record" => {
-                opts.record = Some(PathBuf::from(it.next().ok_or("--record needs a value")?));
             }
             "--format" => {
                 opts.format = match it.next().map(String::as_str) {

@@ -1,6 +1,6 @@
 //! Determinism: exported values must not depend on hash-map order.
 //!
-//! `benchdiff` compares serialized benchmark records byte-for-byte, and
+//! Serialized reports and run records are diffed byte-for-byte, and
 //! trace replay assumes a stable event order — so in result-producing
 //! crates (`result-crate` lines in `ci/analyze.conf`) iterating a
 //! `HashMap`/`HashSet` into anything that is returned or serialized is

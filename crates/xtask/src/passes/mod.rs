@@ -6,8 +6,7 @@
 //! Passes are independent, so [`run_all`] runs each on its own scoped
 //! thread and merges the outputs deterministically (registration order,
 //! then the location sort) — the same reporting contract as `xtask
-//! lint`, with per-pass wall time kept for `--record` and the JSON
-//! document.
+//! lint`, with per-pass wall time kept for the JSON document.
 //!
 //! After the passes finish, `run_all` audits the escape directives:
 //! an `analyze: allow(..)` no pass consumed is dead weight that will
@@ -56,7 +55,7 @@ impl PassOutput {
     }
 }
 
-/// Per-pass summary surfaced in the JSON document and `--record`.
+/// Per-pass summary surfaced in the JSON document.
 pub struct PassReport {
     pub name: &'static str,
     pub findings: usize,

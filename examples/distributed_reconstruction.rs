@@ -4,8 +4,7 @@
 //! ```text
 //! cargo run --release -p ifdk-examples --bin distributed_reconstruction -- \
 //!     --size 64 --np 64 --rows 4 --cols 4 [--trace trace.json] [--analyze] \
-//!     [--flight-dump flight.json] [--stall-ms 30000] [--throttle-bp-ms 0] \
-//!     [--record trajectory.jsonl]
+//!     [--flight-dump flight.json] [--stall-ms 30000] [--throttle-bp-ms 0]
 //! ```
 //!
 //! Launches `rows x cols` ranks (threads), each running the three-thread
@@ -26,23 +25,17 @@
 //! busy/stall/idle utilization, ring-stall attribution and the Eq.-19
 //! overlap-efficiency figure.
 //!
-//! With `--flight-dump <path>` the run keeps the flight recorder's
-//! bounded per-lane span window and writes it as a Chrome trace at the
-//! end, and the stall watchdog (`--stall-ms`, 0 disables) trips on any
+//! With `--stall-ms <ms>` (0 disables) the stall watchdog trips on any
 //! ring side blocked past the deadline: each trip is a `watchdog.trip`
 //! event in the `--trace` capture, which `ifdk-bench --bin tracereport
-//! --max-trips` gates on.
+//! --max-trips` gates on. `--flight-dump <path>` also arms it (at a
+//! 30 s deadline unless `--stall-ms` says otherwise) and writes the
+//! flight recorder's bounded per-lane span window as a Chrome trace at
+//! the end.
 //! `--throttle-bp-ms` injects a per-batch delay into every
 //! back-projection thread and `--ring-capacity` shrinks the circular
 //! buffers — together a fault injector for demonstrating back-pressure
 //! and a watchdog trip (see EXPERIMENTS.md).
-//!
-//! With `--record <path>` the run's outcome — end-to-end seconds, GUPS,
-//! communication traffic, NRMSE vs single-node, overlap efficiency
-//! (when `--analyze`), watchdog trips (with `--flight-dump`) — is
-//! appended as one `ifdk-run/v1` record to the `ct-perfdb` trajectory
-//! store, keyed by kernel, grid shape and problem size, so `perfscope`
-//! can trend distributed runs alongside the bench sweeps.
 
 use ct_core::forward::project_all_analytic;
 use ct_core::metrics::nrmse;
@@ -71,7 +64,6 @@ fn main() {
     let flight_dump = arg_str(&args, "flight-dump");
     let throttle_bp_ms = arg_usize(&args, "throttle-bp-ms", 0);
     let ring_capacity = arg_usize(&args, "ring-capacity", 0);
-    let record_path = arg_str(&args, "record");
 
     let geo = CbctGeometry::standard(Dims2::new(2 * n, 2 * n), np, Dims3::cube(n));
     let grid = RankGrid::new(rows, cols).expect("valid grid");
@@ -92,7 +84,7 @@ fn main() {
     if trace_path.is_some() || analyze {
         cfg.obs = ct_obs::Recorder::trace();
     }
-    if flight_dump.is_some() {
+    if flight_dump.is_some() || arg_flag(&args, "stall-ms") {
         cfg.live = Some(LiveConfig {
             stall_deadline: (stall_ms > 0).then(|| Duration::from_millis(stall_ms as u64)),
             ..LiveConfig::default()
@@ -153,12 +145,10 @@ fn main() {
     println!("\nmodel (ABCI constants) vs. measured (this machine):");
     print!("{div}");
 
-    let analysis = analyze.then(|| {
-        report
+    if analyze {
+        let a = report
             .pipeline_analysis()
-            .expect("trace-mode capture analyzes")
-    });
-    if let Some(a) = &analysis {
+            .expect("trace-mode capture analyzes");
         println!("\ncritical-path & overlap analysis (offline, from the capture):");
         print!("{a}");
     }
@@ -199,32 +189,6 @@ fn main() {
             check.span_events,
             check.ranks.len()
         );
-    }
-
-    if let Some(db) = &record_path {
-        let mut r = ct_perfdb::RunRecord::new(
-            "distributed",
-            ct_obs::clock::unix_millis(),
-            ct_perfdb::MachineInfo::detect(),
-        );
-        r.config.kernel = ct_bp::lanes::KernelImpl::default().name().to_string();
-        r.config.threads = grid.n_ranks() as u64;
-        r.config.grid_rows = rows as u64;
-        r.config.grid_cols = cols as u64;
-        r.config.problem = format!("{n}^3 x {np}p");
-        r.set_metric("runtime_secs", report.runtime_secs)
-            .set_metric("gups", report.gups)
-            .set_metric("comm_messages", report.comm_messages as f64)
-            .set_metric("comm_bytes", report.comm_bytes as f64)
-            .set_metric("nrmse_vs_single", err);
-        if let Some(a) = &analysis {
-            r.set_metric("overlap_efficiency", a.overlap_efficiency);
-        }
-        if let Some(live) = &report.live {
-            r.set_metric("watchdog_trips", live.trips.len() as f64);
-        }
-        ct_perfdb::PerfDb::append(std::path::Path::new(db), &[r]).expect("append perf trajectory");
-        println!("\nrecorded run -> {db} (query: ifdk-bench --bin perfscope)");
     }
 
     println!("\ncentral slice of the distributed reconstruction:");

@@ -11,6 +11,7 @@ fn full_record() -> RunRecord {
         cpu_model: "Integration Test CPU @ 3.00GHz".into(),
         cpu_flags: vec!["avx2".into(), "fma".into(), "sse4_2".into()],
         logical_cpus: 16,
+        target_features: vec!["sse2".into()],
     };
     let mut r = RunRecord::new("gups", 1_754_000_000_123, machine);
     r.config = RunConfig {
